@@ -6,11 +6,13 @@
 package omini_test
 
 import (
+	"context"
 	"testing"
 
 	"omini/internal/combine"
 	"omini/internal/core"
 	"omini/internal/corpus"
+	"omini/internal/govern"
 	"omini/internal/htmlparse"
 	"omini/internal/separator"
 	"omini/internal/subtree"
@@ -57,8 +59,8 @@ func BenchmarkTokenize(b *testing.B) {
 	})
 }
 
-// BenchmarkTidy measures syntactic normalization (lexing included, as the
-// normalizer consumes the lexer directly).
+// BenchmarkTidy measures syntactic normalization into a whole token slice
+// (lexing included, as the normalizer consumes the lexer directly).
 func BenchmarkTidy(b *testing.B) {
 	forEachBenchPage(b, func(b *testing.B, html string) {
 		for i := 0; i < b.N; i++ {
@@ -77,6 +79,22 @@ func BenchmarkBuildTree(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := tagtree.Build(toks); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkParse measures Phase 1 as the pipeline runs it: the fused
+// lexer → tidy → tree pass of Extractor.ParseGoverned under a guard with
+// the production limits, recording its tokenize/tidy/build spans.
+func BenchmarkParse(b *testing.B) {
+	forEachBenchPage(b, func(b *testing.B, html string) {
+		e := core.New(core.Options{})
+		ctx := context.Background()
+		for i := 0; i < b.N; i++ {
+			g := govern.NewGuard(ctx, core.DefaultLimits())
+			if _, err := e.ParseGoverned(ctx, html, g); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -23,13 +23,11 @@ import (
 	"omini/internal/combine"
 	"omini/internal/extract"
 	"omini/internal/govern"
-	"omini/internal/htmlparse"
 	"omini/internal/obs"
 	"omini/internal/rules"
 	"omini/internal/separator"
 	"omini/internal/subtree"
 	"omini/internal/tagtree"
-	"omini/internal/tidy"
 )
 
 // Errors the pipeline can return.
@@ -302,39 +300,14 @@ func (e *Extractor) ExtractWithRuleContext(ctx context.Context, html string, rul
 	return res, nil
 }
 
-// parse runs Phase 1 — lexing, syntactic normalization, tag tree
-// construction — as three observable spans, and records its combined
-// timing. Splitting tokenize from tidy costs one transient raw-token slice
-// relative to the fused streaming path; the per-phase visibility is the
-// point (DESIGN.md §9). Each phase runs under the page's guard, so an
-// input past MaxInputBytes, a token-budget blowout, or an
-// over-deep/over-large tree surfaces here as a typed govern error.
+// parse runs Phase 1 (ParseGoverned) and records its combined timing
+// and tree on the result.
 func (e *Extractor) parse(ctx context.Context, html string, res *Result, g *govern.Guard) (*tagtree.Node, error) {
 	parseStart := time.Now()
-	_, sp := obs.StartSpan(ctx, "tokenize")
-	toks, err := htmlparse.TokenizeGoverned(html, g)
-	sp.End()
-	if err != nil {
-		res.Timing.Parse = time.Since(parseStart)
-		return nil, fmt.Errorf("core: tokenize: %w", err)
-	}
-	if !e.opts.SkipNormalize {
-		_, sp = obs.StartSpan(ctx, "tidy")
-		toks, err = tidy.NormalizeTokensFromGoverned(toks, g)
-		sp.End()
-		if err != nil {
-			res.Timing.Parse = time.Since(parseStart)
-			return nil, fmt.Errorf("core: tidy: %w", err)
-		}
-	}
-	// With SkipNormalize the raw stream is unbalanced; Build recovers what
-	// it can.
-	_, sp = obs.StartSpan(ctx, "build")
-	root, err := tagtree.BuildGoverned(toks, g)
-	sp.End()
+	root, err := e.ParseGoverned(ctx, html, g)
 	res.Timing.Parse = time.Since(parseStart)
 	if err != nil {
-		return nil, fmt.Errorf("core: parse: %w", err)
+		return nil, err
 	}
 	res.Tree = root
 	return root, nil

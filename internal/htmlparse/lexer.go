@@ -1,6 +1,7 @@
 package htmlparse
 
 import (
+	"math"
 	"strings"
 
 	"omini/internal/govern"
@@ -44,31 +45,29 @@ func NewLexer(src string) *Lexer {
 
 // Tokenize lexes the whole of src in one call.
 func Tokenize(src string) []Token {
-	toks, _ := TokenizeGoverned(src, nil)
+	// A typical page has roughly one token per 20 bytes.
+	toks, _ := NewLexer(src).Lex(make([]Token, 0, len(src)/20+8), math.MaxInt, nil)
 	return toks
 }
 
-// TokenizeGoverned lexes src under a resource guard: the input size is
-// checked up front and every produced token is charged against the
-// guard's token budget (which also polls the page context). A nil
-// guard makes it identical to Tokenize.
-func TokenizeGoverned(src string, g *govern.Guard) ([]Token, error) {
-	if err := g.Input(len(src)); err != nil {
-		return nil, err
-	}
-	lx := NewLexer(src)
-	// A typical page has roughly one token per 20 bytes.
-	toks := make([]Token, 0, len(src)/20+8)
-	for {
+// Lex appends the next tokens to dst and returns the extended slice:
+// limit of them, or fewer only at the end of input. Every token is
+// charged against g's token budget (which also polls the page
+// context); a nil guard charges nothing. Streaming callers lex in
+// fixed batches into a reused dst, so a page never needs a page-sized
+// token slice.
+func (lx *Lexer) Lex(dst []Token, limit int, g *govern.Guard) ([]Token, error) {
+	for n := 0; n < limit; n++ {
 		tok, ok := lx.Next()
 		if !ok {
-			return toks, nil
+			break
 		}
 		if err := g.Tokens(1); err != nil {
-			return nil, err
+			return dst, err
 		}
-		toks = append(toks, tok)
+		dst = append(dst, tok)
 	}
+	return dst, nil
 }
 
 // lower returns the lower-cased form of an ASCII name, without allocating

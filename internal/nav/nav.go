@@ -124,28 +124,32 @@ func FindPagination(root *tagtree.Node) *Pagination {
 	return best
 }
 
-// paginationUnder inspects one parent's children for a numbered bar.
+// paginationUnder inspects one parent's children for a numbered bar. It
+// runs on every parent node of every page, so it allocates nothing until
+// a child reads as a page number.
 func paginationUnder(parent *tagtree.Node) *Pagination {
-	links := make(map[int]string)
+	var links map[int]string
 	current := 0
 	for _, c := range parent.Children {
 		switch {
 		case c.IsContent():
-			if n, err := strconv.Atoi(strings.TrimSpace(c.Text)); err == nil && plausiblePage(n) {
+			if n, ok := pageNumber(c.Text); ok {
 				current = n
 			}
 		case c.Tag == "a":
-			text := strings.TrimSpace(c.InnerText())
-			n, err := strconv.Atoi(text)
-			if err != nil || !plausiblePage(n) {
+			n, ok := pageNumber(c.InnerText())
+			if !ok {
 				continue
 			}
 			if target := attr(c, "href"); target != "" {
+				if links == nil {
+					links = make(map[int]string)
+				}
 				links[n] = target
 			}
 		case c.Tag == "b", c.Tag == "strong", c.Tag == "font", c.Tag == "span":
 			// The current page is often wrapped for emphasis.
-			if n, err := strconv.Atoi(strings.TrimSpace(c.InnerText())); err == nil && plausiblePage(n) {
+			if n, ok := pageNumber(c.InnerText()); ok {
 				current = n
 			}
 		}
@@ -154,6 +158,27 @@ func paginationUnder(parent *tagtree.Node) *Pagination {
 		return nil
 	}
 	return &Pagination{Current: current, Links: links}
+}
+
+// pageNumber parses text as a plausible page number. Text that is not
+// an optionally signed run of digits is rejected before strconv.Atoi,
+// which would allocate an error for it.
+func pageNumber(text string) (int, bool) {
+	text = strings.TrimSpace(text)
+	digits := text
+	if digits != "" && (digits[0] == '+' || digits[0] == '-') {
+		digits = digits[1:]
+	}
+	if digits == "" {
+		return 0, false
+	}
+	for i := 0; i < len(digits); i++ {
+		if digits[i] < '0' || digits[i] > '9' {
+			return 0, false
+		}
+	}
+	n, err := strconv.Atoi(text)
+	return n, err == nil && plausiblePage(n)
 }
 
 // plausiblePage bounds page numbers; result sets are not millions of pages

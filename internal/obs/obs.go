@@ -35,6 +35,9 @@ type Registry struct {
 	gauges   map[string]*atomic.Int64
 	gaugefns map[string]func() float64
 	hists    map[string]*Histogram
+	// phases memoizes the per-phase histograms by bare phase name, so
+	// ending a span never formats its series name.
+	phases map[string]*Histogram
 }
 
 // Default is the process-wide registry; components fall back to it when no
@@ -48,6 +51,7 @@ func NewRegistry() *Registry {
 		gauges:   make(map[string]*atomic.Int64),
 		gaugefns: make(map[string]func() float64),
 		hists:    make(map[string]*Histogram),
+		phases:   make(map[string]*Histogram),
 	}
 }
 
@@ -131,6 +135,22 @@ func (r *Registry) Histogram(name string) *Histogram {
 		h = NewHistogram(nil)
 		r.hists[name] = h
 	}
+	return h
+}
+
+// phaseHistogram returns the latency histogram of one pipeline phase,
+// the series PhaseSeries(phase) names.
+func (r *Registry) phaseHistogram(phase string) *Histogram {
+	r.mu.RLock()
+	h := r.phases[phase]
+	r.mu.RUnlock()
+	if h != nil {
+		return h
+	}
+	h = r.Histogram(PhaseSeries(phase))
+	r.mu.Lock()
+	r.phases[phase] = h
+	r.mu.Unlock()
 	return h
 }
 

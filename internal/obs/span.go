@@ -266,13 +266,14 @@ type Span struct {
 	depth    int
 	id       SpanID
 	parentID SpanID
-	startOff int64
 	start    time.Time
 	dur      time.Duration
 	reg      *Registry
 	rec      *TraceRecorder
-	mem0     runtime.MemStats
-	ended    bool
+	// mem0 is the allocation baseline, read only when the recorder
+	// samples allocations; untraced spans never carry a MemStats.
+	mem0  *runtime.MemStats
+	ended bool
 }
 
 // StartSpan begins a named span under ctx and returns a derived context
@@ -285,28 +286,54 @@ type Span struct {
 //	ctx, sp := obs.StartSpan(ctx, "tidy")
 //	... phase work ...
 //	sp.End()
+//
+// An untraced span costs one allocation, the span itself: it is not put
+// in the returned context, because only a trace reads parent links.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	sp := &Span{
-		name: name,
-		reg:  RegistryFrom(ctx),
-		rec:  TraceRecorderFrom(ctx),
+	sp := &Span{}
+	sp.open(ctx, name)
+	if sp.rec == nil {
+		sp.start = time.Now()
+		return ctx, sp
 	}
-	if parent, ok := ctx.Value(spanKey{}).(*Span); ok && parent != nil {
-		sp.parent = parent.name
-		sp.depth = parent.depth + 1
-		sp.parentID = parent.id
-	} else if sp.rec != nil {
-		sp.parentID = sp.rec.remote
-	}
-	if sp.rec != nil {
-		sp.id = sp.rec.nextSpanID()
-		sp.startOff = time.Since(sp.rec.start).Nanoseconds()
-		if sp.rec.SampleAllocs {
-			runtime.ReadMemStats(&sp.mem0)
-		}
+	if sp.rec.SampleAllocs {
+		sp.mem0 = new(runtime.MemStats)
+		runtime.ReadMemStats(sp.mem0)
 	}
 	sp.start = time.Now()
 	return context.WithValue(ctx, spanKey{}, sp), sp
+}
+
+// RecordSpan records a span that has already finished: name ran under
+// ctx for d, starting at start. It lands in the registry histogram and
+// the trace recorder exactly as StartSpan+End would, without allocating
+// a span. It is for work timed in slices — a fused loop that
+// interleaves several phases sums each phase's time and records the
+// totals at the end. Such spans carry no allocation deltas.
+func RecordSpan(ctx context.Context, name string, start time.Time, d time.Duration) {
+	var sp Span
+	sp.open(ctx, name)
+	sp.start = start
+	sp.record(d)
+}
+
+// open sets the span's name and sinks from the context it starts under
+// and, on a traced span, its identity and place in the span tree.
+func (s *Span) open(ctx context.Context, name string) {
+	s.name = name
+	s.reg = RegistryFrom(ctx)
+	s.rec = TraceRecorderFrom(ctx)
+	if s.rec == nil {
+		return
+	}
+	if parent, ok := ctx.Value(spanKey{}).(*Span); ok && parent != nil {
+		s.parent = parent.name
+		s.depth = parent.depth + 1
+		s.parentID = parent.id
+	} else {
+		s.parentID = s.rec.remote
+	}
+	s.id = s.rec.nextSpanID()
 }
 
 // ID returns the span's trace-local identity (zero on untraced spans).
@@ -333,9 +360,15 @@ func (s *Span) End() {
 	if s == nil || s.ended {
 		return
 	}
+	s.record(time.Since(s.start))
+}
+
+// record finishes the span with duration d: the one recording path
+// behind End and RecordSpan.
+func (s *Span) record(d time.Duration) {
 	s.ended = true
-	s.dur = time.Since(s.start)
-	s.reg.Observe(PhaseSeries(s.name), s.dur.Seconds())
+	s.dur = d
+	s.reg.phaseHistogram(s.name).Observe(d.Seconds())
 	if s.rec == nil {
 		return
 	}
@@ -343,15 +376,15 @@ func (s *Span) End() {
 		Name:         s.name,
 		Parent:       s.parent,
 		Depth:        s.depth,
-		DurationNS:   s.dur.Nanoseconds(),
+		DurationNS:   d.Nanoseconds(),
 		SpanID:       s.id.String(),
 		ParentSpanID: s.parentID.String(),
-		StartNS:      s.startOff,
+		StartNS:      s.start.Sub(s.rec.start).Nanoseconds(),
 	}
 	if s.parentID.IsZero() {
 		sample.ParentSpanID = ""
 	}
-	if s.rec.SampleAllocs {
+	if s.mem0 != nil {
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
 		sample.AllocBytes = int64(m.TotalAlloc - s.mem0.TotalAlloc)

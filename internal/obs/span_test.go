@@ -2,8 +2,11 @@ package obs
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 func TestSpanRecordsIntoRegistryAndRecorder(t *testing.T) {
@@ -123,5 +126,71 @@ func TestSpanWithoutRecorderStillObserves(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `omini_phase_seconds_count{phase="solo"} 1`) {
 		t.Errorf("exposition missing solo phase:\n%s", b.String())
+	}
+}
+
+// TestUntracedSpanIsCheap pins the cost of a span on an untraced
+// request: StartSpan+End is one allocation (the span) and that
+// allocation carries no runtime.MemStats; RecordSpan allocates nothing.
+func TestUntracedSpanIsCheap(t *testing.T) {
+	r := NewRegistry()
+	ctx := WithRegistry(context.Background(), r)
+	// Warm the histogram so the measured runs only look it up.
+	_, warm := StartSpan(ctx, "cheap")
+	warm.End()
+
+	allocs := testing.AllocsPerRun(100, func() {
+		_, sp := StartSpan(ctx, "cheap")
+		sp.End()
+	})
+	if allocs > 1 {
+		t.Errorf("untraced StartSpan+End = %v allocs, want <= 1", allocs)
+	}
+	if size, mem := unsafe.Sizeof(Span{}), unsafe.Sizeof(runtime.MemStats{}); size >= mem {
+		t.Errorf("span allocation is %d bytes, not below a MemStats (%d)", size, mem)
+	}
+	start := time.Now()
+	if allocs := testing.AllocsPerRun(100, func() {
+		RecordSpan(ctx, "cheap", start, time.Microsecond)
+	}); allocs != 0 {
+		t.Errorf("untraced RecordSpan = %v allocs, want 0", allocs)
+	}
+	if got, want := r.Histogram(PhaseSeries("cheap")).Count(), int64(1+2*101); got != want {
+		t.Errorf("histogram count = %d, want %d", got, want)
+	}
+}
+
+// TestRecordSpan checks that a span recorded after the fact lands in
+// the registry and the trace exactly as a started-and-ended one does:
+// same name, parent, depth and span-tree links, with the given duration
+// and start offset.
+func TestRecordSpan(t *testing.T) {
+	r := NewRegistry()
+	ctx := WithRegistry(context.Background(), r)
+	ctx, rec := WithTraceRecorder(ctx, true)
+	pctx, parent := StartSpan(ctx, "parse")
+	start := rec.Start().Add(5 * time.Millisecond)
+	RecordSpan(pctx, "tokenize", start, 3*time.Millisecond)
+	parent.End()
+
+	if got := r.Histogram(PhaseSeries("tokenize")).Sum(); got != 0.003 {
+		t.Errorf("tokenize histogram sum = %v, want 0.003", got)
+	}
+	spans := rec.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("spans = %+v, want tokenize then parse", spans)
+	}
+	got := spans[0]
+	if got.Name != "tokenize" || got.Parent != "parse" || got.Depth != 1 {
+		t.Errorf("recorded span = %+v, want tokenize under parse at depth 1", got)
+	}
+	if got.DurationNS != int64(3*time.Millisecond) || got.StartNS != int64(5*time.Millisecond) {
+		t.Errorf("recorded span duration/start = %d/%d, want 3ms/5ms", got.DurationNS, got.StartNS)
+	}
+	if got.ParentSpanID != spans[1].SpanID || got.SpanID == "" || got.SpanID == spans[1].SpanID {
+		t.Errorf("span links: child %s parent %s, parent's own %s", got.SpanID, got.ParentSpanID, spans[1].SpanID)
+	}
+	if got.AllocBytes != 0 {
+		t.Errorf("recorded span carries alloc delta %d; only timed spans sample", got.AllocBytes)
 	}
 }

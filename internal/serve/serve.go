@@ -861,14 +861,16 @@ func (s *Server) serveRecords(ctx context.Context, w http.ResponseWriter, site, 
 		httpError(ctx, w, err)
 		return
 	}
+	records, tree, err := wrapper.ExtractTree(html)
 	// Wrapper evolution: a page that no longer resembles the training page
-	// triggers relearning before extraction goes wrong quietly.
-	if stale, err := wrapper.Stale(html, wrapgen.DefaultDriftThreshold); err == nil && stale {
-		if relearned, err := s.relearnWrapper(site, html); err == nil {
+	// is re-extracted with a wrapper relearned from it, before extraction
+	// goes wrong quietly. The drift check reuses the extraction's tree.
+	if err == nil && wrapgen.DriftScore(wrapper.Signature, tree) > wrapgen.DefaultDriftThreshold {
+		if relearned, lerr := s.relearnWrapper(site, html); lerr == nil {
 			wrapper = relearned
+			records, err = wrapper.Extract(html)
 		}
 	}
-	records, err := wrapper.Extract(html)
 	if err != nil {
 		// The cached wrapper no longer matches; relearn once.
 		wrapper, err = s.relearnWrapper(site, html)
@@ -1093,7 +1095,7 @@ func (s *Server) relearnWrapper(site, html string) (*wrapgen.Wrapper, error) {
 
 // readPage reads and validates the request body and site parameter.
 func (s *Server) readPage(w http.ResponseWriter, r *http.Request) (html, site string, ok bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
+	body, err := readBody(r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		writeError(r.Context(), w, http.StatusBadRequest, "read body: "+err.Error())
 		return "", "", false
@@ -1108,6 +1110,34 @@ func (s *Server) readPage(w http.ResponseWriter, r *http.Request) (html, site st
 		return "", "", false
 	}
 	return string(body), r.URL.Query().Get("site"), true
+}
+
+// readBody reads at most limit+1 bytes of the request body, one more
+// than the limit so an oversized body is detectable. A Content-Length
+// between 1 and limit sizes the buffer up front, so a declared body is
+// read without regrowing; the header is client input, so it never buys
+// more than limit+1 bytes. Chunked and unknown-length bodies go through
+// io.ReadAll.
+func readBody(r *http.Request, limit int64) ([]byte, error) {
+	body := io.LimitReader(r.Body, limit+1)
+	if r.ContentLength < 1 || r.ContentLength > limit {
+		return io.ReadAll(body)
+	}
+	buf := make([]byte, 0, r.ContentLength+1)
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if errors.Is(err, io.EOF) {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			// Longer than declared; the limit reader still caps it.
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -12,9 +12,11 @@ import (
 	"time"
 
 	"omini/internal/core"
+	"omini/internal/corpus"
 	"omini/internal/govern"
 	"omini/internal/resilience"
 	"omini/internal/sitegen"
+	"omini/internal/wrapgen"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -473,5 +475,137 @@ func TestExtractGovernedLimits(t *testing.T) {
 	resp, body = post(t, ts.URL+"/extract", big)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("big page: status = %d, want 413: %s", resp.StatusCode, body)
+	}
+}
+
+// twoParseRecords is /records' answer as it was computed when the
+// drift check parsed the page on its own: learn on the training page,
+// relearn if the served page is stale, extract, relearn once on
+// failure.
+func twoParseRecords(t *testing.T, site, train, html string) []byte {
+	t.Helper()
+	w, err := wrapgen.Learn(site, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stale, err := w.Stale(html, wrapgen.DefaultDriftThreshold); err == nil && stale {
+		if relearned, err := wrapgen.Learn(site, html); err == nil {
+			w = relearned
+		}
+	}
+	records, err := w.Extract(html)
+	if err != nil {
+		if w, err = wrapgen.Learn(site, html); err != nil {
+			t.Fatal(err)
+		}
+		if records, err = w.Extract(html); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, recordResponse{Site: site, Fields: w.Fields, Records: records})
+	return rec.Body.Bytes()
+}
+
+// TestRecordsDriftCheckReusesExtraction checks that /records, which
+// now drift-checks the tree its extraction built instead of parsing the
+// page a second time, answers byte for byte as the two-parse version
+// did: on a page of the trained layout, on redesigned pages the old
+// wrapper cannot extract, and on a drifted page it still extracts,
+// where the relearned wrapper's records must replace the old ones.
+func TestRecordsDriftCheckReusesExtraction(t *testing.T) {
+	spec := func(name string) sitegen.SiteSpec {
+		for _, s := range corpus.AllSpecs() {
+			if s.Name == name {
+				return s
+			}
+		}
+		t.Fatalf("site %q not in corpus", name)
+		return sitegen.SiteSpec{}
+	}
+	bn, etoys := spec("www.bn.example"), spec("www.etoys.example")
+	// A page whose old rule still resolves (same subtree path, same
+	// separator) but whose structure has drifted past the threshold:
+	// the LOC page with a block of unfamiliar markup before </body>.
+	loc := sitegen.LOC().HTML
+	grown := strings.Replace(loc, "</body>", strings.Repeat("<div><p><b>more</b></p></div>", 400)+"</body>", 1)
+	if grown == loc {
+		t.Fatal("LOC page has no </body> to grow before")
+	}
+	cases := []struct {
+		name         string
+		train, serve string
+		drifted      bool
+	}{
+		{"same layout", bn.Page(0).HTML, bn.Page(1).HTML, false},
+		{"table to cards", bn.Page(0).HTML, etoys.Page(0).HTML, true},
+		{"cards to table", etoys.Page(0).HTML, bn.Page(0).HTML, true},
+		{"table to hr records", sitegen.Canoe().HTML, loc, true},
+		{"grown past threshold", loc, grown, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			w, err := wrapgen.Learn("drift.example", c.train)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if drift, err := w.Drift(c.serve); err != nil || (drift > wrapgen.DefaultDriftThreshold) != c.drifted {
+				t.Fatalf("drift = %.3f (%v), want drifted=%v", drift, err, c.drifted)
+			}
+			stale, staleErr := w.Extract(c.serve)
+			ts := newTestServer(t)
+			if resp, body := post(t, ts.URL+"/records?site=drift.example", c.train); resp.StatusCode != http.StatusOK {
+				t.Fatalf("training status = %d: %s", resp.StatusCode, body)
+			}
+			resp, body := post(t, ts.URL+"/records?site=drift.example", c.serve)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status = %d: %s", resp.StatusCode, body)
+			}
+			want := twoParseRecords(t, "drift.example", c.train, c.serve)
+			if string(body) != string(want) {
+				t.Errorf("records differ from the two-parse answer:\n got %s\nwant %s", body, want)
+			}
+			if c.drifted && staleErr == nil {
+				// The old wrapper still extracts: only the relearn
+				// separates the right answer from its records.
+				rec := httptest.NewRecorder()
+				writeJSON(rec, recordResponse{Site: "drift.example", Fields: w.Fields, Records: stale})
+				if rec.Body.String() == string(want) {
+					t.Error("old and relearned wrappers agree; the case cannot show the relearn")
+				}
+			}
+		})
+	}
+}
+
+// TestReadBodyContentLength checks that the declared Content-Length
+// only sizes the read buffer: a header far past the limit on a small
+// body neither allocates on its word nor refuses the body, a header
+// within the limit that under-declares still hits the 413, and an
+// empty body is still a 400.
+func TestReadBodyContentLength(t *testing.T) {
+	page := sitegen.LOC().HTML
+	s := New(Config{MaxBodyBytes: int64(len(page)) + 100})
+	serve := func(body string, declared int64) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/extract", strings.NewReader(body))
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		return rec
+	}
+	want := serve(page, int64(len(page)))
+	if want.Code != http.StatusOK {
+		t.Fatalf("declared-length status = %d: %s", want.Code, want.Body)
+	}
+	for _, declared := range []int64{1 << 50, -1, 1, int64(len(page)) + 100} {
+		if got := serve(page, declared); got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
+			t.Errorf("Content-Length %d: status %d, body differs: %v", declared, got.Code, got.Body.String() != want.Body.String())
+		}
+	}
+	if got := serve(page+strings.Repeat(" ", 200), int64(len(page))); got.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("under-declared oversized body: status %d, want 413", got.Code)
+	}
+	if got := serve("", 1<<50); got.Code != http.StatusBadRequest || !strings.Contains(got.Body.String(), "empty body") {
+		t.Errorf("empty body with a huge Content-Length: status %d %s, want 400 empty body", got.Code, got.Body)
 	}
 }

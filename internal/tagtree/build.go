@@ -55,120 +55,125 @@ func (a *arena) newNode() *Node {
 // dropped (it carries no content and would distort nodeSize); all other
 // text becomes content nodes. If the stream has multiple top-level
 // elements, they are wrapped in a synthetic "html" root.
-//
-// Nodes come from a chunked arena and the size/count metrics are computed
-// in this single pass (folded parent-ward as each element closes), so
-// construction performs no per-node allocation and no second finalize walk.
-// tagtree.Validate checks the resulting invariants in tests.
 func Build(toks []htmlparse.Token) (*Node, error) {
-	return BuildGoverned(toks, nil)
+	b := NewBuilder(nil, len(toks)/2+8)
+	for i := range toks {
+		_ = b.Feed(&toks[i]) // without a guard Feed cannot fail
+	}
+	return b.Finish()
 }
 
-// BuildGoverned is Build under a resource guard: every created node is
-// charged against the node budget and the element stack is checked
-// against the depth limit on each push. Later phases walk the tree
-// recursively, so the depth bound here is what keeps their goroutine
-// stacks finite on adversarially nested input. A nil guard makes it
-// identical to Build.
-func BuildGoverned(toks []htmlparse.Token, g *govern.Guard) (*Node, error) {
-	ar := arena{}
-	if est := len(toks); est > 0 {
-		size := est/2 + 8
-		if size > arenaMaxChunk {
-			size = arenaMaxChunk
-		}
-		ar.chunk = make([]Node, 0, size)
-	}
-	var roots []*Node
-	var stack []*Node
+// Builder constructs a tag tree incrementally: Feed the balanced token
+// stream one token at a time, then Finish. Build runs it over a token
+// slice; the fused Phase 1 pass of internal/core feeds it straight from
+// the normalizer, so no page-sized token slice exists.
+//
+// Nodes come from a chunked arena and the size/count metrics are computed
+// as tokens arrive (folded parent-ward as each element closes), so
+// construction performs no per-node allocation and no second finalize walk.
+// tagtree.Validate checks the resulting invariants in tests.
+type Builder struct {
+	// g charges every created node against the node budget and checks
+	// the element stack against the depth limit on each push. Later
+	// phases walk the tree recursively, so the depth bound here is what
+	// keeps their goroutine stacks finite on adversarially nested input.
+	g     *govern.Guard
+	ar    arena
+	roots []*Node
+	stack []*Node
+	// err is the sticky governor violation that stopped the build.
+	err error
+}
 
-	appendChild := func(c *Node) {
-		if len(stack) == 0 {
-			roots = append(roots, c)
-			return
-		}
-		p := stack[len(stack)-1]
-		c.Parent = p
-		c.Index = len(p.Children) + 1
-		p.Children = append(p.Children, c)
+// NewBuilder returns a Builder under a resource guard; a nil guard
+// charges nothing. nodes is the expected node count, used to size the
+// first arena chunk (0 when unknown).
+func NewBuilder(g *govern.Guard, nodes int) *Builder {
+	b := &Builder{g: g}
+	if nodes > 0 {
+		b.ar.chunk = make([]Node, 0, min(nodes, arenaMaxChunk))
 	}
-	// pop closes the top element, folding its finished metrics into its
-	// parent on the stack.
-	pop := func() *Node {
-		top := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if len(stack) > 0 {
-			p := stack[len(stack)-1]
-			p.nodeSize += top.nodeSize
-			p.tagCount += top.tagCount
-		}
-		return top
-	}
+	return b
+}
 
-	for i := range toks {
-		tok := &toks[i]
-		switch tok.Type {
-		case htmlparse.StartTagToken:
-			if err := g.Nodes(1); err != nil {
-				return nil, err
-			}
-			if err := g.Depth(len(stack) + 1); err != nil {
-				return nil, err
-			}
-			n := ar.newNode()
-			n.Tag = tok.Data
-			n.Attrs = tok.Attrs
-			n.tagCount = 1
-			appendChild(n)
-			stack = append(stack, n)
-		case htmlparse.EndTagToken:
-			// The stream is balanced; pop the matching element. Guard
-			// against malformed input anyway.
-			for len(stack) > 0 {
-				g.Poll()
-				if pop().Tag == tok.Data {
-					break
-				}
-			}
-		case htmlparse.TextToken:
-			text := collapseSpace(tok.Data)
-			if text == "" {
-				continue
-			}
-			if err := g.Nodes(1); err != nil {
-				return nil, err
-			}
-			n := ar.newNode()
-			n.Text = text
-			n.nodeSize = len(text)
-			n.tagCount = 1
-			appendChild(n)
-			// Content nodes never sit on the stack: fold immediately.
-			if len(stack) > 0 {
-				p := stack[len(stack)-1]
-				p.nodeSize += n.nodeSize
-				p.tagCount++
+// Feed adds one token of the stream to the tree. It returns the
+// governor error that stopped the build, if any; once a budget is
+// blown every later call returns the same error and does nothing.
+// Tokens other than start tags, end tags and text are ignored.
+func (b *Builder) Feed(tok *htmlparse.Token) error {
+	if b.err != nil {
+		return b.err
+	}
+	switch tok.Type {
+	case htmlparse.StartTagToken:
+		if b.err = b.g.Nodes(1); b.err != nil {
+			return b.err
+		}
+		if b.err = b.g.Depth(len(b.stack) + 1); b.err != nil {
+			return b.err
+		}
+		n := b.ar.newNode()
+		n.Tag = tok.Data
+		n.Attrs = tok.Attrs
+		n.tagCount = 1
+		b.appendChild(n)
+		b.stack = append(b.stack, n)
+	case htmlparse.EndTagToken:
+		// The stream is balanced; pop the matching element. Guard
+		// against malformed input anyway.
+		for len(b.stack) > 0 {
+			b.g.Poll()
+			if b.pop().Tag == tok.Data {
+				break
 			}
 		}
+	case htmlparse.TextToken:
+		text := collapseSpace(tok.Data)
+		if text == "" {
+			return nil
+		}
+		if b.err = b.g.Nodes(1); b.err != nil {
+			return b.err
+		}
+		n := b.ar.newNode()
+		n.Text = text
+		n.nodeSize = len(text)
+		n.tagCount = 1
+		b.appendChild(n)
+		// Content nodes never sit on the stack: fold immediately.
+		if len(b.stack) > 0 {
+			p := b.stack[len(b.stack)-1]
+			p.nodeSize += n.nodeSize
+			p.tagCount++
+		}
 	}
-	for len(stack) > 0 {
-		g.Poll()
-		pop()
+	return nil
+}
+
+// Finish closes every element still open and returns the tree's root,
+// or ErrNoRoot when the stream held no node at all.
+func (b *Builder) Finish() (*Node, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
+	for len(b.stack) > 0 {
+		b.g.Poll()
+		b.pop()
 	}
 
 	var root *Node
-	switch {
+	switch roots := b.roots; {
 	case len(roots) == 0:
 		return nil, ErrNoRoot
 	case len(roots) == 1 && !roots[0].IsContent():
 		root = roots[0]
 	default:
-		root = ar.newNode()
+		root = b.ar.newNode()
 		root.Tag = "html"
 		root.tagCount = 1
 		root.Children = make([]*Node, len(roots))
 		for i, r := range roots {
-			g.Poll()
+			b.g.Poll()
 			r.Parent = root
 			r.Index = i + 1
 			root.Children[i] = r
@@ -178,6 +183,30 @@ func BuildGoverned(toks []htmlparse.Token, g *govern.Guard) (*Node, error) {
 	}
 	root.Index = 1
 	return root, nil
+}
+
+func (b *Builder) appendChild(c *Node) {
+	if len(b.stack) == 0 {
+		b.roots = append(b.roots, c)
+		return
+	}
+	p := b.stack[len(b.stack)-1]
+	c.Parent = p
+	c.Index = len(p.Children) + 1
+	p.Children = append(p.Children, c)
+}
+
+// pop closes the top element, folding its finished metrics into its
+// parent on the stack.
+func (b *Builder) pop() *Node {
+	top := b.stack[len(b.stack)-1]
+	b.stack = b.stack[:len(b.stack)-1]
+	if len(b.stack) > 0 {
+		p := b.stack[len(b.stack)-1]
+		p.nodeSize += top.nodeSize
+		p.tagCount += top.tagCount
+	}
+	return top
 }
 
 // collapseSpace trims text and collapses internal whitespace runs to single

@@ -19,8 +19,12 @@ type openElem struct {
 	attrs []htmlparse.Attr
 }
 
-// normalizer rewrites a token stream into a balanced one.
-type normalizer struct {
+// Normalizer rewrites a token stream into a balanced one, in push
+// mode: Feed raw tokens one at a time, Drain the balanced output as it
+// becomes ready, and Close at end of input. It holds only the
+// open-element stack and the output not yet drained, so a caller that
+// drains as it goes never materializes the page's token stream.
+type Normalizer struct {
 	out   []htmlparse.Token
 	stack []openElem
 	// g budgets emitted tokens and nesting depth; err is the sticky
@@ -31,6 +35,42 @@ type normalizer struct {
 	// when the raw input lexed comfortably under it.
 	g   *govern.Guard
 	err error
+}
+
+// NewNormalizer returns a push-mode normalizer under a resource guard:
+// every emitted token is charged against the token budget and the
+// open-element stack is checked against the depth limit on each push.
+// A nil guard charges nothing.
+func NewNormalizer(g *govern.Guard) *Normalizer {
+	return &Normalizer{g: g}
+}
+
+// Feed routes one raw token through the normalizer. It returns the
+// governor error that stopped the rewrite, if any; once a budget is
+// blown every later call returns the same error and does nothing.
+func (n *Normalizer) Feed(tok *htmlparse.Token) error {
+	if n.err == nil {
+		n.feed(tok)
+	}
+	return n.err
+}
+
+// Drain returns the balanced tokens emitted since the last Drain. The
+// slice's backing array is reused: it is valid until the next Feed or
+// Close.
+func (n *Normalizer) Drain() []htmlparse.Token {
+	out := n.out
+	n.out = n.out[:0]
+	return out
+}
+
+// Close ends the input, closing every element still open; Drain then
+// returns the closing tags.
+func (n *Normalizer) Close() error {
+	if n.err == nil {
+		n.closeAll()
+	}
+	return n.err
 }
 
 // Normalize converts src into a well-formed HTML document and returns its
@@ -49,7 +89,7 @@ func NormalizeTokens(src string) []htmlparse.Token {
 	// slice first: the normalizer is the only consumer, and the raw stream
 	// of a large page is hundreds of kilobytes of short-lived tokens.
 	lx := htmlparse.NewLexer(src)
-	n := &normalizer{out: make([]htmlparse.Token, 0, len(src)/12+16)}
+	n := &Normalizer{out: make([]htmlparse.Token, 0, len(src)/12+16)}
 	for {
 		tok, ok := lx.Next()
 		if !ok {
@@ -61,39 +101,8 @@ func NormalizeTokens(src string) []htmlparse.Token {
 	return n.out
 }
 
-// NormalizeTokensFrom balances an already-lexed token stream, exactly as
-// NormalizeTokens does for raw source. Callers that need the tokenize and
-// tidy phases separately observable (the instrumented pipeline of
-// internal/core) lex first with htmlparse.Tokenize and normalize here;
-// callers that don't should prefer NormalizeTokens, which skips the
-// intermediate slice.
-func NormalizeTokensFrom(toks []htmlparse.Token) []htmlparse.Token {
-	out, _ := NormalizeTokensFromGoverned(toks, nil)
-	return out
-}
-
-// NormalizeTokensFromGoverned balances an already-lexed token stream
-// under a resource guard: every emitted token is charged against the
-// token budget and the open-element stack is checked against the depth
-// limit on each push. A nil guard makes it identical to
-// NormalizeTokensFrom.
-func NormalizeTokensFromGoverned(toks []htmlparse.Token, g *govern.Guard) ([]htmlparse.Token, error) {
-	n := &normalizer{out: make([]htmlparse.Token, 0, len(toks)+8), g: g}
-	for i := range toks {
-		if n.err != nil {
-			return nil, n.err
-		}
-		n.feed(&toks[i])
-	}
-	n.closeAll()
-	if n.err != nil {
-		return nil, n.err
-	}
-	return n.out, nil
-}
-
 // feed routes one raw token through the normalizer.
-func (n *normalizer) feed(tok *htmlparse.Token) {
+func (n *Normalizer) feed(tok *htmlparse.Token) {
 	switch tok.Type {
 	case htmlparse.TextToken:
 		n.text(tok)
@@ -120,7 +129,7 @@ var headOnly = map[string]bool{
 // text appends a text token, opening the structural context it needs.
 // Whitespace-only text outside body is discarded rather than forcing a body
 // open.
-func (n *normalizer) text(tok *htmlparse.Token) {
+func (n *Normalizer) text(tok *htmlparse.Token) {
 	if strings.TrimSpace(tok.Data) == "" {
 		if len(n.stack) < 2 {
 			return
@@ -145,7 +154,7 @@ func (n *normalizer) text(tok *htmlparse.Token) {
 }
 
 // start handles a start tag: structural context, implied closures, push.
-func (n *normalizer) start(name string, attrs []htmlparse.Attr) {
+func (n *Normalizer) start(name string, attrs []htmlparse.Attr) {
 	switch name {
 	case "html":
 		if n.has("html") {
@@ -202,7 +211,7 @@ func (n *normalizer) start(name string, attrs []htmlparse.Attr) {
 
 // end handles an end tag: find the matching open element, close everything
 // above it, repairing inline overlaps by reopening formatting elements.
-func (n *normalizer) end(name string) {
+func (n *Normalizer) end(name string) {
 	if IsVoid(name) {
 		return // </br> etc. — the start already emitted its close
 	}
@@ -243,7 +252,7 @@ func (n *normalizer) end(name string) {
 // impliedTargetBelowFormatting reports whether, beneath the run of open
 // inline formatting elements on top of the stack, there is an element the
 // incoming tag implicitly closes.
-func (n *normalizer) impliedTargetBelowFormatting(name string) bool {
+func (n *Normalizer) impliedTargetBelowFormatting(name string) bool {
 	for i := len(n.stack) - 1; i >= 0; i-- {
 		n.g.Poll()
 		el := n.stack[i].name
@@ -259,7 +268,7 @@ func (n *normalizer) impliedTargetBelowFormatting(name string) bool {
 // name, or -1. The search stops at scope boundaries (a </li> never matches
 // an <li> outside the current list) and, for non-structural tags, at table
 // cell boundaries.
-func (n *normalizer) find(name string) int {
+func (n *Normalizer) find(name string) int {
 	for i := len(n.stack) - 1; i >= 0; i-- {
 		n.g.Poll()
 		if n.stack[i].name == name {
@@ -274,7 +283,7 @@ func (n *normalizer) find(name string) int {
 
 // ensureFlowContext opens html and body as needed so flow content has a
 // home. Head-only elements are routed into head when body has not started.
-func (n *normalizer) ensureFlowContext(name string) {
+func (n *Normalizer) ensureFlowContext(name string) {
 	n.ensureOpen("html", nil)
 	if headOnly[name] && !n.has("body") {
 		n.ensureOpen("head", nil)
@@ -291,27 +300,27 @@ func (n *normalizer) ensureFlowContext(name string) {
 
 // ensureOpen opens the named element at the appropriate level if it is not
 // already open.
-func (n *normalizer) ensureOpen(name string, attrs []htmlparse.Attr) {
+func (n *Normalizer) ensureOpen(name string, attrs []htmlparse.Attr) {
 	if !n.has(name) {
 		n.push(name, attrs)
 	}
 }
 
 // closeUpTo pops elements until the named element is on top of the stack.
-func (n *normalizer) closeUpTo(name string) {
+func (n *Normalizer) closeUpTo(name string) {
 	for len(n.stack) > 0 && n.top() != name {
 		n.pop()
 	}
 }
 
 // closeAll closes every element remaining open at end of input.
-func (n *normalizer) closeAll() {
+func (n *Normalizer) closeAll() {
 	for len(n.stack) > 0 {
 		n.pop()
 	}
 }
 
-func (n *normalizer) has(name string) bool {
+func (n *Normalizer) has(name string) bool {
 	for i := range n.stack {
 		n.g.Poll()
 		if n.stack[i].name == name {
@@ -321,14 +330,14 @@ func (n *normalizer) has(name string) bool {
 	return false
 }
 
-func (n *normalizer) top() string {
+func (n *Normalizer) top() string {
 	if len(n.stack) == 0 {
 		return ""
 	}
 	return n.stack[len(n.stack)-1].name
 }
 
-func (n *normalizer) push(name string, attrs []htmlparse.Attr) {
+func (n *Normalizer) push(name string, attrs []htmlparse.Attr) {
 	if n.err != nil {
 		return
 	}
@@ -340,13 +349,13 @@ func (n *normalizer) push(name string, attrs []htmlparse.Attr) {
 	n.emitStart(name, attrs)
 }
 
-func (n *normalizer) pop() {
+func (n *Normalizer) pop() {
 	top := n.stack[len(n.stack)-1]
 	n.stack = n.stack[:len(n.stack)-1]
 	n.emitEnd(top.name)
 }
 
-func (n *normalizer) emitStart(name string, attrs []htmlparse.Attr) {
+func (n *Normalizer) emitStart(name string, attrs []htmlparse.Attr) {
 	if n.err != nil {
 		return
 	}
@@ -361,7 +370,7 @@ func (n *normalizer) emitStart(name string, attrs []htmlparse.Attr) {
 	})
 }
 
-func (n *normalizer) emitEnd(name string) {
+func (n *Normalizer) emitEnd(name string) {
 	if n.err != nil {
 		return
 	}

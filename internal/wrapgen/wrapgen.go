@@ -112,12 +112,19 @@ func LearnFromResult(site string, res *core.Result) (*Wrapper, error) {
 // Extract applies the wrapper to a page of its site: rule-replay extraction
 // (the fast path) followed by field projection.
 func (w *Wrapper) Extract(html string) ([]Record, error) {
-	extractor := core.New(core.Options{})
-	res, err := extractor.ExtractWithRule(html, w.Rule)
+	records, _, err := w.ExtractTree(html)
+	return records, err
+}
+
+// ExtractTree is Extract that also returns the page's tag tree, so a
+// caller can drift-check the page with DriftScore without parsing it a
+// second time.
+func (w *Wrapper) ExtractTree(html string) ([]Record, *tagtree.Node, error) {
+	res, err := core.New(core.Options{}).ExtractWithRule(html, w.Rule)
 	if err != nil {
-		return nil, fmt.Errorf("wrapgen: extract: %w", err)
+		return nil, nil, fmt.Errorf("wrapgen: extract: %w", err)
 	}
-	return w.Project(res.Objects), nil
+	return w.Project(res.Objects), res.Tree, nil
 }
 
 // Project converts extracted objects to records under the wrapper's

@@ -1,8 +1,11 @@
 #!/bin/sh
 # Per-phase pipeline benchmark runner. Runs the Benchmark{Tokenize,Tidy,
-# BuildTree,Subtree,Separator,ExtractE2E} suite over the small/medium/large
-# bench pages and emits BENCH_pipeline.json with ns/op, B/op and allocs/op
-# per phase, so successive PRs can diff the performance trajectory.
+# BuildTree,Parse,Subtree,Separator,ExtractE2E} suite over the
+# small/medium/large bench pages and emits BENCH_pipeline.json with ns/op,
+# B/op and allocs/op per phase plus the machine fingerprint (nproc, go
+# version), so successive changes can diff the performance trajectory.
+# B/op and allocs/op are deterministic; ns/op only compares runs taken on
+# one machine.
 #
 #   ./scripts/bench.sh                # run, refresh "current" in the JSON
 #   ./scripts/bench.sh -rebaseline    # also overwrite the stored baseline
@@ -22,9 +25,10 @@ COUNT=${BENCH_COUNT:-3}
 BENCHTIME=${BENCH_TIME:-1s}
 BASELINE=scripts/bench_baseline.json
 OUT=BENCH_pipeline.json
+SUITE='Tokenize|Tidy|BuildTree|Parse|Subtree|Separator|ExtractE2E'
 
 raw=$(go test -run '^$' \
-    -bench '^Benchmark(Tokenize|Tidy|BuildTree|Subtree|Separator|ExtractE2E)$' \
+    -bench "^Benchmark($SUITE)\$" \
     -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .)
 
 printf '%s\n' "$raw" >&2
@@ -68,7 +72,8 @@ baseline=$(sed '1d;$d' "$BASELINE")
 
 {
     echo '{'
-    echo '  "suite": "go test -bench ^Benchmark(Tokenize|Tidy|BuildTree|Subtree|Separator|ExtractE2E)$ -benchmem",'
+    echo "  \"suite\": \"go test -bench ^Benchmark($SUITE)\$ -benchmem\","
+    echo "  \"machine\": {\"nproc\": $(nproc), \"go\": \"$(go env GOVERSION)\"},"
     echo "  \"benchtime\": \"$BENCHTIME\","
     echo "  \"count\": $COUNT,"
     echo '  "baseline": {'

@@ -98,6 +98,24 @@ go test -race -run 'Parity' .
 echo "==> bench smoke (-benchtime=1x)"
 go test -run '^$' -bench . -benchtime=1x ./... > /dev/null
 
+# Allocation gate: B/op is deterministic, so unlike ns/op it can fail a
+# merge. The end-to-end extraction of the medium bench page must stay at
+# or below 292 KB/op, the figure before per-phase observability first
+# split Phase 1 into materialized token slices.
+E2E_MAX_BOP=292000
+echo "==> E2E medium allocation gate (<= ${E2E_MAX_BOP} B/op)"
+bop=$(go test -run '^$' -bench '^BenchmarkExtractE2E$/^medium$' -benchmem -benchtime 200x . |
+    awk '/^BenchmarkExtractE2E\/medium/ { for (i = 2; i <= NF; i++) if ($i == "B/op") print $(i-1) }')
+if [ -z "$bop" ]; then
+    echo "BenchmarkExtractE2E/medium reported no B/op" >&2
+    exit 1
+fi
+if [ "$bop" -gt "$E2E_MAX_BOP" ]; then
+    echo "BenchmarkExtractE2E/medium allocates $bop B/op, over the ${E2E_MAX_BOP} B/op gate" >&2
+    exit 1
+fi
+echo "    BenchmarkExtractE2E/medium: $bop B/op"
+
 # Observability: the telemetry package must stay vet- and race-clean on its
 # own (it is imported by every layer), and a real ominiserve process must
 # expose non-empty metrics and profiles. OBS_SMOKE=0 skips the server smoke

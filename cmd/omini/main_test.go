@@ -1,12 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"omini/internal/farm"
+	"omini/internal/obs"
+	"omini/internal/serve"
 	"omini/internal/sitegen"
 )
 
@@ -86,6 +93,74 @@ func TestRunWithRuleCache(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "objects:   12") {
 		t.Errorf("replay output:\n%s", out.String())
+	}
+}
+
+// TestRuleCacheIsServeRuleStore: the -rules file is the wrapper farm's
+// snapshot, so a server booted on it with RuleStorePath serves the site
+// from the cached rule, and the server's /rulesz?view=sync dump works
+// as a -rules file in turn.
+func TestRuleCacheIsServeRuleStore(t *testing.T) {
+	page := sitegen.Canoe()
+	path := writePage(t, page)
+	store := filepath.Join(t.TempDir(), "rules.json")
+	var out strings.Builder
+	if err := run(&out, []string{"-rules", store, "-site", page.Site, path}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	raw, err := os.ReadFile(store)
+	if err != nil {
+		t.Fatalf("rules not persisted: %v", err)
+	}
+	var envelope struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(raw, &envelope); err != nil || envelope.Version != farm.SnapshotVersion {
+		t.Fatalf("store envelope version = %d (err %v), want %d", envelope.Version, err, farm.SnapshotVersion)
+	}
+	snap, err := farm.LoadSnapshot(store)
+	if err != nil {
+		t.Fatalf("LoadSnapshot: %v", err)
+	}
+	if len(snap.Rules) != 1 || snap.Rules[0].Site != page.Site {
+		t.Fatalf("snapshot rules = %+v, want one rule for %s", snap.Rules, page.Site)
+	}
+
+	stats := obs.NewRegistry()
+	srv := serve.New(serve.Config{
+		RuleStorePath: store,
+		Stats:         stats,
+		Logger:        obs.NewLogger(io.Discard, obs.LevelError),
+	})
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/extract?site="+page.Site, strings.NewReader(page.HTML)))
+	var resp struct {
+		FromRule bool              `json:"fromRule"`
+		Objects  []json.RawMessage `json:"objects"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("extract: status %d (err %v): %s", rec.Code, err, rec.Body)
+	}
+	if !resp.FromRule || len(resp.Objects) != 12 {
+		t.Fatalf("fromRule = %v, objects = %d; want the cached rule's 12 objects", resp.FromRule, len(resp.Objects))
+	}
+	if got := stats.Get(farm.SeriesLearns); got != 0 {
+		t.Fatalf("server booted on the CLI store ran %d discoveries, want 0", got)
+	}
+
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/rulesz?view=sync", nil))
+	dump := filepath.Join(t.TempDir(), "dump.json")
+	if err := os.WriteFile(dump, rec.Body.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run(&out, []string{"-rules", dump, "-site", page.Site, path}); err != nil {
+		t.Fatalf("run on the server dump: %v", err)
+	}
+	// A replayed rule leaves the store clean, so the file is not rewritten.
+	if after, err := os.ReadFile(dump); err != nil || !bytes.Equal(after, rec.Body.Bytes()) {
+		t.Fatalf("run on the server dump relearned and rewrote it (err %v)", err)
 	}
 }
 

@@ -8,7 +8,7 @@
 //	ominiserve -addr :8800 &
 //	curl -s --data-binary @page.html 'localhost:8800/extract?site=www.example.com'
 //	curl -s --data-binary @page.html 'localhost:8800/records?site=www.example.com'
-//	curl -s 'localhost:8800/rules'
+//	curl -s 'localhost:8800/rulesz?view=sync'
 //
 // Endpoints:
 //
@@ -16,14 +16,15 @@
 //	POST /extract?trace=1  -> same, plus the inline JSON decision trace
 //	POST /records?site=S   -> wrapper records (named fields); learns the
 //	                          site's wrapper on first use
-//	GET  /rules            -> the cached extraction rules as JSON
 //	GET  /rulesz           -> wrapper-farm state: per-site rule versions,
 //	                          hit counts, drift-check readiness, store size
+//	GET  /rulesz?view=sync -> the learned rules as a snapshot, byte for byte
+//	                          the -rule-store file format
 //	GET  /tracez           -> tail-sampled distributed traces (errored and
 //	                          slowest pinned); ?id=<traceId> for one span tree
 //	GET  /healthz          -> liveness
-//	GET  /readyz           -> readiness (503 until the -rules snapshot loads)
-//	GET  /statsz           -> JSON counter snapshot of the metrics registry
+//	GET  /readyz           -> readiness (503 until the join-time rule sync
+//	                          finishes in cluster mode)
 //	GET  /metricsz         -> Prometheus-style exposition: counters, gauges,
 //	                          per-phase latency histograms with p50/p95/p99
 //	GET  /debug/pprof/*    -> the Go runtime profiles
@@ -49,7 +50,8 @@
 // drift-checks sampled fast-path pages every -relearn-interval so a
 // site redesign evicts and relearns its rule. With -rule-store the
 // farm persists across restarts (versioned JSON, atomic writes, saved
-// on change and at shutdown); a store file also loads via -rules.
+// on change and at shutdown). It is the one rule file format: an
+// omini -rules cache boots a server, and /rulesz?view=sync dumps one.
 //
 // Cluster mode (-cluster) puts a consistent-hash router in front of the
 // local server: sites are sharded across the -peers nodes (keeping each
@@ -102,7 +104,6 @@ func main() {
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		timeout  = flag.Duration("timeout", 0, "per-page extraction deadline enforced by the resource governor (0 = default 10s, negative = unlimited)")
 
-		rulesFile  = flag.String("rules", "", "rules snapshot to load at boot; /readyz stays 503 until it loads")
 		ruleStore  = flag.String("rule-store", "", "persist learned rules here (versioned JSON, atomic writes); loaded on boot, saved on change and on shutdown")
 		relearnIvl = flag.Duration("relearn-interval", time.Minute, "background drift-revalidation sweep period (negative = disabled)")
 		clustered  = flag.Bool("cluster", false, "enable cluster mode: consistent-hash route sites across -peers")
@@ -155,7 +156,6 @@ func main() {
 		RequestTimeout:  *reqTO,
 		Limits:          limits,
 		Logger:          logger,
-		RulesFile:       *rulesFile,
 		RuleStorePath:   *ruleStore,
 		RelearnInterval: *relearnIvl,
 		TraceSampleRate: sampleRate,
@@ -163,9 +163,14 @@ func main() {
 		DeferReady:      deferReady,
 	})
 	// The farm's background loop: drift-sample revalidation plus
-	// periodic rule-store flushes. It stops with the signal context;
-	// the post-drain Close below writes the final snapshot.
-	go func() { _ = srv.Run(ctx) }()
+	// periodic rule-store flushes. It stops with the signal context and
+	// writes the final snapshot; main waits for it before Close, so no
+	// save can start after the process decides to exit.
+	farmDone := make(chan struct{})
+	go func() {
+		defer close(farmDone)
+		_ = srv.Run(ctx)
+	}()
 
 	var handler http.Handler = srv
 	if *clustered {
@@ -233,6 +238,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ominiserve:", err)
 		os.Exit(1)
 	}
+	<-farmDone
 	if err := srv.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "ominiserve: rule store save:", err)
 		os.Exit(1)

@@ -1,8 +1,8 @@
 // Package farm is the wrapper farm: the rule-cache-first serving layer
-// in front of internal/rules that industrializes the paper's Table 17
-// observation — once a site's rule (subtree path + separator) is
-// learned, extraction can skip Phase 2 discovery entirely, an
-// order-of-magnitude latency win on repeat-host traffic.
+// that industrializes the paper's Table 17 observation — once a site's
+// rule (subtree path + separator) is learned, extraction can skip
+// Phase 2 discovery entirely, an order-of-magnitude latency win on
+// repeat-host traffic.
 //
 // The farm keeps compiled per-site rules in a sharded in-memory LRU.
 // The first request for a host runs full discovery under a singleflight
@@ -10,8 +10,8 @@
 // wait and replay the learned rule); every later request takes the
 // rule fast path. Learned rules are treated as first-class, versioned,
 // revalidated artifacts rather than a transient cache: they persist in
-// a JSON-on-disk store (atomic writes, survives restarts, loadable via
-// the ominiserve -rules snapshot path), each relearn bumps the rule's
+// a versioned JSON snapshot (atomic writes, survives restarts; the one
+// rule file format, see store.go), each relearn bumps the rule's
 // version, and a background revalidator samples fast-path extractions
 // through wrapgen's drift detection so a site redesign evicts and
 // relearns the rule instead of serving silent garbage.
@@ -203,7 +203,7 @@ func New(cfg Config) (*Farm, error) {
 	}
 	f.registerMetrics()
 	if cfg.StorePath != "" {
-		if err := f.seedFile(g, cfg.StorePath, true); err != nil {
+		if err := f.seedFile(g, cfg.StorePath); err != nil {
 			if !cfg.RecoverCorruptStore {
 				return nil, err
 			}
@@ -214,21 +214,14 @@ func New(cfg Config) (*Farm, error) {
 	return f, nil
 }
 
-// SeedFile merges a snapshot file (versioned farm store or legacy
-// rules array) into the cache — the ominiserve -rules boot path. The
-// file must exist.
-func (f *Farm) SeedFile(path string) error {
-	return f.seedFile(govern.NewGuard(context.Background(), govern.Unlimited()), path, false)
-}
-
-// seedFile loads path and inserts its rules. With allowMissing, a
+// seedFile loads the store at path and inserts its rules. A
 // nonexistent file seeds nothing.
-func (f *Farm) seedFile(g *govern.Guard, path string, allowMissing bool) error {
+func (f *Farm) seedFile(g *govern.Guard, path string) error {
 	snap, err := LoadSnapshot(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
 	if err != nil {
-		if allowMissing && errors.Is(err, fs.ErrNotExist) {
-			return nil
-		}
 		return err
 	}
 	// Tombstones first: a snapshot is already reconciled (no site holds
@@ -604,16 +597,16 @@ func (f *Farm) Run(ctx context.Context) error {
 		}
 		select {
 		case <-ctx.Done():
-			f.saveIfDirty()
+			_ = f.saveIfDirty()
 			return ctx.Err()
 		case s := <-f.samples:
 			f.revalidateOne(ctx, s)
 		case <-ticker.C:
 			_ = f.sweep(g)
-			f.saveIfDirty()
+			_ = f.saveIfDirty()
 		}
 	}
-	f.saveIfDirty()
+	_ = f.saveIfDirty()
 	return ctx.Err()
 }
 
@@ -629,38 +622,36 @@ func (f *Farm) sweep(g *govern.Guard) error {
 	return nil
 }
 
-// saveIfDirty persists the store when something changed since the
-// last save.
-func (f *Farm) saveIfDirty() {
-	if f.cfg.StorePath == "" || !f.dirty.Swap(false) {
-		return
-	}
-	if err := f.Save(); err != nil {
-		f.dirty.Store(true) // retry on the next sweep
-		f.stats.Add(SeriesStoreErrors, 1)
-		f.log.Error("farm: rule store save failed", "path", f.cfg.StorePath, "err", err.Error())
-	}
-}
-
-// Save persists the cache as a versioned snapshot at Config.StorePath
-// (no-op without one). Saves are serialized; concurrent mutation
-// between snapshot and write is safe because writes are atomic.
-func (f *Farm) Save() error {
+// saveIfDirty persists the cache as a versioned snapshot at
+// Config.StorePath when something changed since the last save. The
+// dirty check and the write are one saveMu critical section, so a
+// second caller — Close racing Run's final save at shutdown — waits for
+// the save in flight instead of seeing a clean flag and returning
+// before the store file is in place. A failed save re-marks the store
+// dirty so the next sweep retries. Concurrent mutation between
+// snapshot and write is safe because writes are atomic.
+func (f *Farm) saveIfDirty() error {
 	if f.cfg.StorePath == "" {
 		return nil
 	}
 	f.saveMu.Lock()
 	defer f.saveMu.Unlock()
-	list, err := f.snapshotRules(govern.NewGuard(context.Background(), govern.Unlimited()))
-	if err != nil {
-		return err
+	if !f.dirty.Swap(false) {
+		return nil
 	}
-	n, err := SaveSnapshot(f.cfg.StorePath, Snapshot{
-		Version:    SnapshotVersion,
-		Rules:      list,
-		Tombstones: f.Tombstones(),
-	})
+	list, err := f.snapshotRules(govern.NewGuard(context.Background(), govern.Unlimited()))
+	var n int64
+	if err == nil {
+		n, err = SaveSnapshot(f.cfg.StorePath, Snapshot{
+			Version:    SnapshotVersion,
+			Rules:      list,
+			Tombstones: f.Tombstones(),
+		})
+	}
 	if err != nil {
+		f.dirty.Store(true)
+		f.stats.Add(SeriesStoreErrors, 1)
+		f.log.Error("farm: rule store save failed", "path", f.cfg.StorePath, "err", err.Error())
 		return err
 	}
 	f.storeBytes.Store(n)
@@ -669,11 +660,8 @@ func (f *Farm) Save() error {
 	return nil
 }
 
-// Close final-saves the store (when dirty). The farm has no other
-// resources to release; Run's goroutine stops with its context.
-func (f *Farm) Close() error {
-	if f.cfg.StorePath == "" || !f.dirty.Swap(false) {
-		return nil
-	}
-	return f.Save()
-}
+// Close final-saves the store when dirty, or waits for a save already
+// in flight, so the store file is in place when it returns. The farm
+// has no other resources to release; Run's goroutine stops with its
+// context.
+func (f *Farm) Close() error { return f.saveIfDirty() }

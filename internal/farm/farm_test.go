@@ -400,28 +400,6 @@ func TestNewRejectsCorruptStore(t *testing.T) {
 	}
 }
 
-func TestRulesFileSeed(t *testing.T) {
-	// Legacy rules.Store array files (the ominiserve -rules format)
-	// must seed the farm too.
-	path := filepath.Join(t.TempDir(), "legacy.json")
-	st := rules.NewStore()
-	st.Put(rules.Rule{Site: "legacy.example", SubtreePath: "html[1].body[1]", Separator: "li"})
-	if err := st.Save(path); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	f, _ := newTestFarm(t, Config{})
-	if err := f.SeedFile(path); err != nil {
-		t.Fatalf("SeedFile: %v", err)
-	}
-	r, ok := f.Get("legacy.example")
-	if !ok {
-		t.Fatal("legacy rule missing after seed")
-	}
-	if r.Version != 1 {
-		t.Fatalf("legacy rule version = %d, want normalized to 1", r.Version)
-	}
-}
-
 func TestInvalidate(t *testing.T) {
 	f, _ := newTestFarm(t, Config{})
 	f.Put(rules.Rule{Site: "x.example", SubtreePath: "html[1]", Separator: "li"}, nil)
@@ -470,6 +448,41 @@ func TestRunDrainsSamplesAndSaves(t *testing.T) {
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("store not saved on shutdown: %v", err)
+	}
+}
+
+// TestCloseWaitsForInFlightSave: at shutdown ominiserve's Close races
+// Run's final save. Close must not return while that save is in flight
+// (it holds saveMu and has already claimed the dirty flag), or the
+// process exits before the store file is in place.
+func TestCloseWaitsForInFlightSave(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rules.json")
+	f, _ := newTestFarm(t, Config{StorePath: path})
+	f.Put(rules.Rule{Site: "close.example", SubtreePath: "html[1]", Separator: "li"}, nil)
+
+	f.saveMu.Lock()
+	f.dirty.Store(false)
+	closed := make(chan error, 1)
+	go func() { closed <- f.Close() }()
+	returned := false
+	select {
+	case err := <-closed:
+		returned = true
+		_, statErr := os.Stat(path)
+		t.Errorf("Close returned (err %v) while a save was in flight; store file: %v", err, statErr)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if _, err := SaveSnapshot(path, Snapshot{Rules: f.Rules()}); err != nil {
+		t.Errorf("in-flight save: %v", err)
+	}
+	f.saveMu.Unlock()
+	if !returned {
+		if err := <-closed; err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("store file missing after Close: %v", err)
 	}
 }
 

@@ -17,22 +17,25 @@ import (
 // The persisted rule store: a versioned JSON snapshot of every learned
 // rule plus its training-page signature, written atomically (temp file
 // + fsync + rename, then a directory fsync) so a crash mid-save can
-// never leave a torn or zero-length store. The rules array inside the
-// envelope is a superset of the rules.Store format — rules.Load reads
-// a farm snapshot directly, which is what lets the ominiserve -rules
-// flag accept either file.
+// never leave a torn or zero-length store. This file is the only code
+// that knows the rule format: ominiserve -rule-store, omini -rules,
+// GET /rulesz?view=sync and ruledist transfers all carry these bytes.
 
 // SnapshotVersion is the store format version this package writes.
 // Version 2 added tombstones: deliberately evicted rules are recorded
 // so anti-entropy sync between nodes cannot resurrect a redesigned
 // site's dead rule. Version-1 files (which simply carry no tombstones)
-// still load; the ceiling is shared with internal/rules so both
-// readers agree on what "too new" means.
-const SnapshotVersion = rules.MaxSnapshotVersion
+// still load.
+const SnapshotVersion = 2
 
 // ErrSnapshotVersion is returned when a snapshot was written by a
 // newer format version than this binary understands.
 var ErrSnapshotVersion = errors.New("farm: snapshot format version too new")
+
+// ErrDuplicateSite is returned when a snapshot holds two rules for one
+// site: silently letting the last one win would mask a corrupt or
+// hand-edited file, so the whole snapshot is rejected.
+var ErrDuplicateSite = errors.New("farm: duplicate site in snapshot")
 
 // StoredRule is one persisted rule: the replayable extraction rule,
 // the training-page signature for drift revalidation, and the hit
@@ -67,28 +70,33 @@ type Snapshot struct {
 	Tombstones []Tombstone  `json:"tombstones,omitempty"`
 }
 
-// DecodeSnapshot parses a snapshot from its JSON encoding. The
-// versioned envelope (v1 without tombstones, v2 with) and a bare rules
-// array (the legacy rules.Store format) are all accepted; the result
-// is canonical — invalid rules and malformed tombstones dropped, one
+// DecodeSnapshot parses a snapshot from its JSON encoding: the
+// versioned envelope, v1 (without tombstones) or v2 (with). Anything
+// else is rejected: a bare JSON array, an envelope declaring a newer
+// version (ErrSnapshotVersion), and one naming a rule site twice
+// (ErrDuplicateSite). Individually invalid rules and malformed
+// tombstones are dropped, not fatal. The result is canonical — one
 // entry per site, rules and tombstones reconciled under the version
 // conflict rule, sorted by site — so decode∘encode is a fixed point.
 func DecodeSnapshot(data []byte) (Snapshot, error) {
 	var snap Snapshot
-	if isJSONArray(data) {
-		if err := json.Unmarshal(data, &snap.Rules); err != nil {
-			return Snapshot{}, fmt.Errorf("farm: decode rules array: %w", err)
-		}
-		snap.Version = SnapshotVersion
-	} else {
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return Snapshot{}, fmt.Errorf("farm: decode snapshot: %w", err)
-		}
-		if snap.Version > SnapshotVersion {
-			return Snapshot{}, fmt.Errorf("%w: %d > %d", ErrSnapshotVersion, snap.Version, SnapshotVersion)
-		}
-		snap.Version = SnapshotVersion
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return Snapshot{}, fmt.Errorf("farm: decode snapshot: %w", err)
 	}
+	if snap.Version > SnapshotVersion {
+		return Snapshot{}, fmt.Errorf("%w: %d > %d", ErrSnapshotVersion, snap.Version, SnapshotVersion)
+	}
+	seen := make(map[string]bool, len(snap.Rules))
+	for _, r := range snap.Rules {
+		if r.Site == "" {
+			continue
+		}
+		if seen[r.Site] {
+			return Snapshot{}, fmt.Errorf("%w: %q", ErrDuplicateSite, r.Site)
+		}
+		seen[r.Site] = true
+	}
+	snap.Version = SnapshotVersion
 	snap.Rules, snap.Tombstones = canonicalize(nil, snap.Rules, snap.Tombstones)
 	return snap, nil
 }
@@ -213,19 +221,6 @@ func canonicalTombstones(g *govern.Guard, in []Tombstone) []Tombstone {
 		out = append(out, bySite[site])
 	}
 	return out
-}
-
-// isJSONArray reports whether the document's first token opens an
-// array (the legacy rules.Store format) rather than an envelope.
-func isJSONArray(data []byte) bool {
-	for _, b := range data {
-		switch b {
-		case ' ', '\t', '\n', '\r':
-			continue
-		}
-		return b == '['
-	}
-	return false
 }
 
 // LoadSnapshot reads and decodes a snapshot file.

@@ -78,20 +78,6 @@ func TestDecodeSnapshotCanonicalizes(t *testing.T) {
 	}
 }
 
-func TestDecodeSnapshotLegacyArray(t *testing.T) {
-	legacy := []byte(`[{"site":"old.example","subtreePath":"html[1].body[1]","separator":"tr"}]`)
-	snap, err := DecodeSnapshot(legacy)
-	if err != nil {
-		t.Fatalf("Decode legacy: %v", err)
-	}
-	if len(snap.Rules) != 1 || snap.Rules[0].Site != "old.example" {
-		t.Fatalf("legacy rules = %+v", snap.Rules)
-	}
-	if snap.Version != SnapshotVersion {
-		t.Fatalf("legacy Version = %d, want %d", snap.Version, SnapshotVersion)
-	}
-}
-
 func TestDecodeSnapshotRejectsNewerVersion(t *testing.T) {
 	_, err := DecodeSnapshot([]byte(`{"version":99,"rules":[]}`))
 	if !errors.Is(err, ErrSnapshotVersion) {
@@ -107,20 +93,63 @@ func TestDecodeSnapshotRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestRulesLoadReadsFarmSnapshot(t *testing.T) {
-	// The -rules flag contract: a farm snapshot is a valid rules.Store
-	// file (the envelope carries a superset of the legacy array).
-	data, err := EncodeSnapshot(Snapshot{Rules: []StoredRule{storedRule("compat.example")}})
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
+// TestDecodeSnapshotRejectsMalformed is the hardening table over the
+// snapshot shapes a store file or a replication transfer can carry:
+// corrupt, truncated, duplicate-site, future-version and bare-array
+// payloads fail (typed where the fault has a name), while the v1 and
+// v2 envelopes load and individually invalid entries are skipped.
+func TestDecodeSnapshotRejectsMalformed(t *testing.T) {
+	good := `{"site": "good.com", "subtreePath": "html[1]", "separator": "tr"}`
+	tests := []struct {
+		name    string
+		payload string
+		rules   int   // rules a successful decode keeps
+		bad     bool  // decode must fail
+		wantErr error // the typed error a bad payload must carry, if any
+	}{
+		{name: "current envelope", payload: `{"version": 2, "rules": [` + good + `]}`, rules: 1},
+		{name: "v1 envelope", payload: `{"version": 1, "rules": [` + good + `]}`, rules: 1},
+		{
+			name: "invalid entries skipped",
+			payload: `{"version": 2, "rules": [` + good + `,
+				{"site": "", "subtreePath": "html[1]", "separator": "tr"},
+				{"site": "bad.com", "subtreePath": "", "separator": ""}]}`,
+			rules: 1,
+		},
+		{name: "corrupt", payload: `{"version": 2, "rules": [{]}`, bad: true},
+		{name: "truncated", payload: `{"version": 2, "rules": [` + good, bad: true},
+		{name: "empty", payload: ``, bad: true},
+		{name: "bare array", payload: `[` + good + `]`, bad: true},
+		{
+			name:    "duplicate site",
+			payload: `{"version": 1, "rules": [` + good + `, ` + good + `]}`,
+			bad:     true, wantErr: ErrDuplicateSite,
+		},
+		{
+			name:    "future version",
+			payload: `{"version": 99, "rules": [` + good + `]}`,
+			bad:     true, wantErr: ErrSnapshotVersion,
+		},
 	}
-	st := rules.NewStore()
-	if _, err := st.ReadFrom(bytes.NewReader(data)); err != nil {
-		t.Fatalf("rules.ReadFrom(farm snapshot): %v", err)
-	}
-	r, err := st.Get("compat.example")
-	if err != nil || r.Separator != "li" || r.Version != 3 {
-		t.Fatalf("rule through rules.Store = %+v err=%v", r, err)
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			snap, err := DecodeSnapshot([]byte(tt.payload))
+			if !tt.bad {
+				if err != nil {
+					t.Fatalf("DecodeSnapshot: %v", err)
+				}
+				if len(snap.Rules) != tt.rules {
+					t.Fatalf("rules = %+v, want %d", snap.Rules, tt.rules)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("malformed snapshot accepted")
+			}
+			if tt.wantErr != nil && !errors.Is(err, tt.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tt.wantErr)
+			}
+		})
 	}
 }
 
@@ -158,6 +187,10 @@ func FuzzSnapshotCodec(f *testing.F) {
 		}
 		f.Add(seed)
 	}
+	// Inputs the decoder must reject: a rule site named twice and a
+	// bare rules array (not a snapshot).
+	f.Add([]byte(`{"version":2,"rules":[{"site":"d.example","subtreePath":"html[1]","separator":"li"},{"site":"d.example","subtreePath":"html[1]","separator":"tr","version":2}]}`))
+	f.Add([]byte(`[{"site":"a.example","subtreePath":"html[1]","separator":"li","version":1}]`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeSnapshot(data)

@@ -246,8 +246,8 @@ func TestStoreReopenAfterTornWrite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.json")
 	f, _ := newTestFarm(t, Config{StorePath: path})
 	f.Put(syncRule("torn.example", 1), syncSig())
-	if err := f.Save(); err != nil {
-		t.Fatalf("Save: %v", err)
+	if err := f.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 
 	// Simulate a torn write: the snapshot loses its tail mid-flush (a
@@ -271,8 +271,8 @@ func TestStoreReopenAfterTornWrite(t *testing.T) {
 		t.Fatalf("recovered farm has %d rules, want 0", f2.Len())
 	}
 	f2.Put(syncRule("torn.example", 2), syncSig())
-	if err := f2.Save(); err != nil {
-		t.Fatalf("Save after recovery: %v", err)
+	if err := f2.Close(); err != nil {
+		t.Fatalf("Close after recovery: %v", err)
 	}
 	snap, err := LoadSnapshot(path)
 	if err != nil {
@@ -289,8 +289,8 @@ func TestSaveLoadRoundTripsTombstones(t *testing.T) {
 	f.Put(syncRule("kept.example", 2), syncSig())
 	f.Put(syncRule("gone.example", 3), syncSig())
 	f.Invalidate("gone.example")
-	if err := f.Save(); err != nil {
-		t.Fatalf("Save: %v", err)
+	if err := f.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 
 	// The persisted snapshot carries the eviction.

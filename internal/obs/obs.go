@@ -7,7 +7,7 @@
 // The package is stdlib-only and knows nothing about HTML or extraction;
 // the pipeline (internal/core, internal/fetch, internal/serve,
 // internal/resilience) publishes into it and the operational surfaces
-// (/metricsz, /statsz, ?trace=1, omini -trace) read out of it. The paper's
+// (/metricsz, /tracez, ?trace=1, omini -trace) read out of it. The paper's
 // evaluation (Sections 6-7) is built on exactly this visibility — which
 // heuristic drove each extraction and where the time went — and this
 // package makes the same questions answerable on a production instance
@@ -23,7 +23,7 @@ import (
 
 // Registry is a process- or component-scoped collection of named metrics:
 // monotonic counters, gauges (stored or computed), and bounded histograms.
-// All methods are safe for concurrent use; the read paths (Get, Snapshot,
+// All methods are safe for concurrent use; the read paths (Get, Names,
 // WritePrometheus) never block writers for long.
 //
 // Names use dotted lower-case ("serve.panics", "core.batch_pages") and are
@@ -166,19 +166,6 @@ func (r *Registry) Observe(name string, v float64) {
 // site.
 func (r *Registry) ObserveExemplar(name string, v float64, traceID string) {
 	r.Histogram(name).ObserveExemplar(v, traceID)
-}
-
-// Snapshot returns a point-in-time copy of every counter. (Gauges and
-// histograms have their own read paths; this keeps the legacy /statsz
-// payload shape.)
-func (r *Registry) Snapshot() map[string]int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		out[name] = c.Load()
-	}
-	return out
 }
 
 // Names returns the registered counter names in sorted order.

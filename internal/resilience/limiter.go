@@ -45,11 +45,3 @@ func (l *Limiter) InFlight() int {
 	}
 	return len(l.sem)
 }
-
-// Cap reports the slot capacity (0 when unlimited).
-func (l *Limiter) Cap() int {
-	if l == nil {
-		return 0
-	}
-	return cap(l.sem)
-}

@@ -238,8 +238,8 @@ func TestLimiterShedsPastCap(t *testing.T) {
 	if l.TryAcquire() {
 		t.Fatal("limiter admitted past capacity")
 	}
-	if l.InFlight() != 2 || l.Cap() != 2 {
-		t.Errorf("InFlight=%d Cap=%d, want 2/2", l.InFlight(), l.Cap())
+	if l.InFlight() != 2 {
+		t.Errorf("InFlight = %d, want 2", l.InFlight())
 	}
 	l.Release()
 	if !l.TryAcquire() {
@@ -255,8 +255,8 @@ func TestNilLimiterIsUnlimited(t *testing.T) {
 		}
 	}
 	l.Release()
-	if l.InFlight() != 0 || l.Cap() != 0 {
-		t.Error("nil limiter reported non-zero gauges")
+	if l.InFlight() != 0 {
+		t.Error("nil limiter reported non-zero in-flight count")
 	}
 }
 
@@ -275,10 +275,6 @@ func TestStatsConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := s.Get("hits"); got != 8000 {
 		t.Errorf("hits = %d, want 8000", got)
-	}
-	snap := s.Snapshot()
-	if snap["hits"] != 8000 {
-		t.Errorf("snapshot hits = %d", snap["hits"])
 	}
 	if names := s.Names(); len(names) != 1 || names[0] != "hits" {
 		t.Errorf("names = %v", names)

@@ -4,14 +4,15 @@
 // stored and replayed on its other pages, skipping subtree and separator
 // discovery entirely — the second, order-of-magnitude-faster extraction
 // method of Table 17.
+//
+// This package holds the Rule type and an in-memory Store. It knows no
+// file format: a rule is persisted only through internal/farm's
+// snapshot codec, the file behind ominiserve -rule-store and omini -rules.
 package rules
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -42,25 +43,8 @@ func (r Rule) Valid() bool {
 // ErrNotFound is returned when a store holds no rule for a site.
 var ErrNotFound = errors.New("rules: no rule for site")
 
-// MaxSnapshotVersion is the newest snapshot envelope version this
-// package (and internal/farm, which writes the envelope and pins its
-// SnapshotVersion to this constant) understands. Version 2 added
-// tombstones; a snapshot declaring a higher version was written by a
-// newer binary and is rejected with ErrSnapshotVersion rather than
-// half-read.
-const MaxSnapshotVersion = 2
-
-// ErrSnapshotVersion is returned by ReadFrom for a snapshot envelope
-// declaring a format version newer than MaxSnapshotVersion.
-var ErrSnapshotVersion = errors.New("rules: snapshot format version too new")
-
-// ErrDuplicateSite is returned by ReadFrom for a snapshot holding two
-// entries for one site: silently letting the last one win would mask
-// a corrupt or hand-edited file, so the whole load is rejected.
-var ErrDuplicateSite = errors.New("rules: duplicate site in snapshot")
-
-// Store is a concurrency-safe collection of per-site extraction rules with
-// JSON persistence.
+// Store is a concurrency-safe, in-memory collection of per-site
+// extraction rules.
 type Store struct {
 	mu    sync.RWMutex
 	rules map[string]Rule
@@ -120,114 +104,4 @@ func (s *Store) Sites() []string {
 	}
 	sort.Strings(sites)
 	return sites
-}
-
-// WriteTo serializes the store as a JSON array sorted by site.
-func (s *Store) WriteTo(w io.Writer) (int64, error) {
-	s.mu.RLock()
-	list := make([]Rule, 0, len(s.rules))
-	for _, r := range s.rules {
-		list = append(list, r)
-	}
-	s.mu.RUnlock()
-	sort.Slice(list, func(i, j int) bool { return list[i].Site < list[j].Site })
-	data, err := json.MarshalIndent(list, "", "  ")
-	if err != nil {
-		return 0, fmt.Errorf("rules: marshal: %w", err)
-	}
-	n, err := w.Write(append(data, '\n'))
-	return int64(n), err
-}
-
-// ReadFrom loads rules from a JSON array — or from a versioned wrapper-farm
-// snapshot (`{"version":2,"rules":[...]}`, see internal/farm), whose extra
-// envelope and per-rule fields are ignored — merging into the store. The
-// format is sniffed from the first JSON token, so the ominiserve -rules flag
-// accepts both a Store.Save file and a farm -rule-store file.
-//
-// Malformed snapshots are rejected before anything merges: a declared
-// envelope version above MaxSnapshotVersion returns ErrSnapshotVersion,
-// and two entries naming one site return ErrDuplicateSite (silent
-// last-wins would hide a corrupt or hand-edited file). Entries missing
-// replay fields are skipped, as before — an individually invalid rule
-// is a degraded entry, not evidence the whole file is untrustworthy.
-func (s *Store) ReadFrom(r io.Reader) (int64, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return int64(len(data)), fmt.Errorf("rules: read: %w", err)
-	}
-	var list []Rule
-	if isJSONObject(data) {
-		var envelope struct {
-			Version int    `json:"version"`
-			Rules   []Rule `json:"rules"`
-		}
-		if err := json.Unmarshal(data, &envelope); err != nil {
-			return int64(len(data)), fmt.Errorf("rules: unmarshal snapshot: %w", err)
-		}
-		if envelope.Version > MaxSnapshotVersion {
-			return int64(len(data)), fmt.Errorf("%w: %d > %d", ErrSnapshotVersion, envelope.Version, MaxSnapshotVersion)
-		}
-		list = envelope.Rules
-	} else if err := json.Unmarshal(data, &list); err != nil {
-		return int64(len(data)), fmt.Errorf("rules: unmarshal: %w", err)
-	}
-	seen := make(map[string]bool, len(list))
-	for _, rule := range list {
-		if rule.Site == "" {
-			continue
-		}
-		if seen[rule.Site] {
-			return int64(len(data)), fmt.Errorf("%w: %q", ErrDuplicateSite, rule.Site)
-		}
-		seen[rule.Site] = true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, rule := range list {
-		if rule.Site != "" && rule.Valid() {
-			s.rules[rule.Site] = rule
-		}
-	}
-	return int64(len(data)), nil
-}
-
-// isJSONObject reports whether the document's first token opens an
-// object (a versioned snapshot envelope) rather than an array.
-func isJSONObject(data []byte) bool {
-	for _, b := range data {
-		switch b {
-		case ' ', '\t', '\n', '\r':
-			continue
-		}
-		return b == '{'
-	}
-	return false
-}
-
-// Save writes the store to a file.
-func (s *Store) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("rules: save: %w", err)
-	}
-	defer f.Close()
-	if _, err := s.WriteTo(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// Load reads a store from a file created by Save.
-func Load(path string) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("rules: load: %w", err)
-	}
-	defer f.Close()
-	s := NewStore()
-	if _, err := s.ReadFrom(f); err != nil {
-		return nil, err
-	}
-	return s, nil
 }

@@ -1,9 +1,7 @@
 package rules
 
 import (
-	"bytes"
 	"errors"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -75,76 +73,6 @@ func TestSitesSorted(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	s := NewStore()
-	for _, site := range []string{"www.loc.gov", "www.canoe.com"} {
-		if err := s.Put(sampleRule(site)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	loaded := NewStore()
-	if _, err := loaded.ReadFrom(&buf); err != nil {
-		t.Fatalf("ReadFrom: %v", err)
-	}
-	if loaded.Len() != 2 {
-		t.Fatalf("loaded %d rules", loaded.Len())
-	}
-	got, err := loaded.Get("www.loc.gov")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.LearnedAt.Equal(sampleRule("").LearnedAt) {
-		t.Errorf("LearnedAt = %v", got.LearnedAt)
-	}
-}
-
-func TestReadFromSkipsInvalid(t *testing.T) {
-	s := NewStore()
-	payload := `[
-		{"site": "good.com", "subtreePath": "html[1]", "separator": "tr"},
-		{"site": "", "subtreePath": "html[1]", "separator": "tr"},
-		{"site": "bad.com", "subtreePath": "", "separator": ""}
-	]`
-	if _, err := s.ReadFrom(bytes.NewReader([]byte(payload))); err != nil {
-		t.Fatalf("ReadFrom: %v", err)
-	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1 (invalid entries skipped)", s.Len())
-	}
-}
-
-func TestReadFromBadJSON(t *testing.T) {
-	s := NewStore()
-	if _, err := s.ReadFrom(bytes.NewReader([]byte("{not json"))); err == nil {
-		t.Error("bad JSON accepted")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "rules.json")
-	s := NewStore()
-	if err := s.Put(sampleRule("www.loc.gov")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(path); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	loaded, err := Load(path)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if loaded.Len() != 1 {
-		t.Errorf("loaded %d rules", loaded.Len())
-	}
-	if _, err := Load(filepath.Join(t.TempDir(), "nope.json")); err == nil {
-		t.Error("Load of missing file succeeded")
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	s := NewStore()
 	var wg sync.WaitGroup
@@ -169,66 +97,5 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if s.Len() != 8 {
 		t.Errorf("Len = %d, want 8", s.Len())
-	}
-}
-
-// TestReadFromRejectsMalformedSnapshots is the hardening table over the
-// snapshot shapes replication can put on the wire: corrupt, truncated,
-// duplicate-site and future-version payloads must fail with typed
-// errors (and leave the store empty), while legacy and current shapes
-// still load.
-func TestReadFromRejectsMalformedSnapshots(t *testing.T) {
-	good := `{"site": "good.com", "subtreePath": "html[1]", "separator": "tr"}`
-	tests := []struct {
-		name    string
-		payload string
-		wantErr error // nil = any error unacceptable, load must succeed
-		bad     bool  // true = must fail (wantErr nil means "any error")
-	}{
-		{name: "current envelope", payload: `{"version": 2, "rules": [` + good + `]}`},
-		{name: "v1 envelope", payload: `{"version": 1, "rules": [` + good + `]}`},
-		{name: "legacy array", payload: `[` + good + `]`},
-		{name: "corrupt", payload: `{"version": 2, "rules": [{]}`, bad: true},
-		{name: "truncated", payload: `{"version": 2, "rules": [` + good, bad: true},
-		{name: "empty", payload: ``, bad: true},
-		{
-			name:    "duplicate site",
-			payload: `{"version": 1, "rules": [` + good + `, ` + good + `]}`,
-			wantErr: ErrDuplicateSite, bad: true,
-		},
-		{
-			name:    "duplicate site legacy array",
-			payload: `[` + good + `, ` + good + `]`,
-			wantErr: ErrDuplicateSite, bad: true,
-		},
-		{
-			name:    "future version",
-			payload: `{"version": 99, "rules": [` + good + `]}`,
-			wantErr: ErrSnapshotVersion, bad: true,
-		},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			s := NewStore()
-			_, err := s.ReadFrom(bytes.NewReader([]byte(tt.payload)))
-			if !tt.bad {
-				if err != nil {
-					t.Fatalf("ReadFrom: %v", err)
-				}
-				if s.Len() != 1 {
-					t.Fatalf("Len = %d, want 1", s.Len())
-				}
-				return
-			}
-			if err == nil {
-				t.Fatal("malformed snapshot accepted")
-			}
-			if tt.wantErr != nil && !errors.Is(err, tt.wantErr) {
-				t.Fatalf("err = %v, want %v", err, tt.wantErr)
-			}
-			if s.Len() != 0 {
-				t.Errorf("rejected snapshot left %d rules in the store", s.Len())
-			}
-		})
 	}
 }

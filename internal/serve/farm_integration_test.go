@@ -89,30 +89,6 @@ func TestRuleStorePersistsAcrossServers(t *testing.T) {
 	}
 }
 
-// TestRulesFileAcceptsFarmStore: the readiness-gated -rules boot path
-// loads a farm -rule-store snapshot, not only legacy rule arrays.
-func TestRulesFileAcceptsFarmStore(t *testing.T) {
-	store := filepath.Join(t.TempDir(), "rules.json")
-	page := sitegen.Canoe()
-	s1 := New(Config{RuleStorePath: store, Stats: resilience.NewStats()})
-	ts1 := httptest.NewServer(s1)
-	if resp, body := post(t, ts1.URL+"/extract?site="+page.Site, page.HTML); resp.StatusCode != http.StatusOK {
-		t.Fatalf("learn: status %d: %s", resp.StatusCode, body)
-	}
-	ts1.Close()
-	if err := s1.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	s2 := New(Config{RulesFile: store, Stats: resilience.NewStats()})
-	if !s2.Ready() {
-		t.Fatal("server with a farm-store RulesFile never became ready")
-	}
-	if s2.Farm().Len() != 1 {
-		t.Fatalf("seeded farm Len = %d, want 1", s2.Farm().Len())
-	}
-}
-
 // TestCorruptRuleStoreServesCold: a torn store file costs a cold
 // cache, never the process.
 func TestCorruptRuleStoreServesCold(t *testing.T) {

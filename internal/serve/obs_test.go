@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -237,30 +238,36 @@ func TestAccessLogCarriesDecisionSummary(t *testing.T) {
 	}
 }
 
-// TestStatszMatchesMetricsz: the two endpoints read the same registry, so
-// a counter visible on one must be visible on the other.
-func TestStatszMatchesMetricsz(t *testing.T) {
+// TestMetricszMatchesRegistry: /metricsz exposes the server's own
+// registry, so a counter and the per-site cache gauge read there match
+// the registry and the farm.
+func TestMetricszMatchesRegistry(t *testing.T) {
 	stats := resilience.NewStats()
 	ts := httptest.NewServer(New(Config{Stats: stats}))
 	defer ts.Close()
 	page := sitegen.Canoe()
 	post(t, ts.URL+"/extract?site="+page.Site, page.HTML)
 
-	resp, err := http.Get(ts.URL + "/statsz")
+	resp, err := http.Get(ts.URL + "/metricsz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out statszResponse
-	err = json.NewDecoder(resp.Body).Decode(&out)
+	body := readAll(t, resp)
 	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+	values := make(map[string]string)
+	for _, line := range strings.Split(body, "\n") {
+		if name, v, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			values[name] = v
+		}
 	}
-	ext, ok := out.Counters["core.extractions"]
-	if !ok || ext < 1 {
-		t.Fatalf("statsz counters missing core.extractions: %v", out.Counters)
+	ext := stats.Get("core.extractions")
+	if ext < 1 {
+		t.Fatalf("registry core.extractions = %d, want >= 1", ext)
 	}
-	if got := stats.Get("core.extractions"); got != ext {
-		t.Errorf("registry core.extractions = %d, statsz = %d", got, ext)
+	if got, want := values["core_extractions"], strconv.FormatInt(ext, 10); got != want {
+		t.Errorf("metricsz core_extractions = %q, registry = %s", got, want)
+	}
+	if got := values["serve_cached_rules"]; got != "1" {
+		t.Errorf("metricsz serve_cached_rules = %q, want 1", got)
 	}
 }

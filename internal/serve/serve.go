@@ -13,11 +13,10 @@
 //
 // Nothing the service does is silent: every extraction runs under the
 // obs registry, so /metricsz exposes Prometheus-style counters, gauges
-// and per-phase latency histograms, /statsz keeps the legacy JSON counter
-// view of the same registry, /debug/pprof/* serves the runtime profiles,
-// each request emits one structured access-log line with its decision
-// summary, and ?trace=1 on /extract returns the full decision trace
-// inline.
+// and per-phase latency histograms, /debug/pprof/* serves the runtime
+// profiles, each request emits one structured access-log line with its
+// decision summary, and ?trace=1 on /extract returns the full decision
+// trace inline.
 //
 // Extraction requests are additionally distributed-traced: each sampled
 // request gets a 128-bit trace ID (adopted from the X-Omini-Trace header
@@ -51,7 +50,6 @@ import (
 	"omini/internal/nav"
 	"omini/internal/obs"
 	"omini/internal/resilience"
-	"omini/internal/rules"
 	"omini/internal/wrapgen"
 )
 
@@ -78,17 +76,11 @@ type Config struct {
 	// core.DefaultLimits(); violations surface as 413 (input too
 	// large), 422 (budget exceeded) or 504 (page deadline).
 	Limits core.Limits
-	// RulesFile optionally seeds the rule store from a rules.Save
-	// snapshot. Readiness (/readyz) is gated on the load: the server
-	// answers 503 until the snapshot is in, so a load balancer or the
-	// cluster health checker never routes shard traffic to a node whose
-	// caches would miss. Empty means no snapshot and immediate
-	// readiness. Farm snapshots (the -rule-store format) load here too.
-	RulesFile string
 	// RuleStorePath persists the wrapper farm's learned rules as a
 	// versioned snapshot: loaded on boot, rewritten by the farm's
 	// background sweeps and on Close, so learned rules survive
-	// restarts. Empty disables persistence.
+	// restarts. A missing file starts empty; a corrupt one is logged
+	// and the server starts cold. Empty disables persistence.
 	RuleStorePath string
 	// RelearnInterval is the farm's background revalidation period:
 	// each sweep flags every cached rule for a drift check on its next
@@ -108,12 +100,12 @@ type Config struct {
 	// cluster node shares one sink between its coordinator and server so
 	// both halves of a self-served request merge into one trace.
 	Traces *obs.TraceSink
-	// DeferReady holds /readyz at 503 after the rules load until
-	// MarkReady is called. Cluster nodes set it when they sync rules
-	// from ring peers on join: the health checker must not route shard
-	// traffic to a node whose cache is still filling. Serving itself is
-	// never gated — a request that arrives anyway is answered (learn on
-	// miss), readiness only steers the routers.
+	// DeferReady holds /readyz at 503 until MarkReady is called.
+	// Cluster nodes set it when they sync rules from ring peers on
+	// join: the health checker must not route shard traffic to a node
+	// whose cache is still filling. Serving itself is never gated — a
+	// request that arrives anyway is answered (learn on miss),
+	// readiness only steers the routers.
 	DeferReady bool
 }
 
@@ -162,11 +154,9 @@ const (
 	// what paths clients probe.
 	seriesReqExtract  = `omini_request_seconds{path="/extract"}`
 	seriesReqRecords  = `omini_request_seconds{path="/records"}`
-	seriesReqRules    = `omini_request_seconds{path="/rules"}`
 	seriesReqRulesz   = `omini_request_seconds{path="/rulesz"}`
 	seriesReqHealthz  = `omini_request_seconds{path="/healthz"}`
 	seriesReqReadyz   = `omini_request_seconds{path="/readyz"}`
-	seriesReqStatsz   = `omini_request_seconds{path="/statsz"}`
 	seriesReqMetricsz = `omini_request_seconds{path="/metricsz"}`
 	seriesReqPprof    = `omini_request_seconds{path="/debug/pprof"}`
 	seriesReqTracez   = `omini_request_seconds{path="/tracez"}`
@@ -188,11 +178,8 @@ type Server struct {
 	// singleflight learn-on-miss, drift revalidation, persistence.
 	farm *farm.Farm
 
-	// ready flips once the rule store is loaded (immediately when no
-	// RulesFile is configured); joined flips once the join-time rule
-	// sync finishes (immediately unless Config.DeferReady). /readyz
-	// reports the conjunction.
-	ready  atomic.Bool
+	// joined flips once the join-time rule sync finishes (immediately
+	// unless Config.DeferReady); /readyz reports it.
 	joined atomic.Bool
 
 	mu       sync.RWMutex
@@ -255,15 +242,13 @@ func New(cfg Config) *Server {
 	s.farm = fm
 	s.joined.Store(!cfg.DeferReady)
 	s.registerMetrics()
-	s.loadRules()
 
 	// Extraction endpoints run behind the load shed and request deadline;
-	// health, stats and profiling probes stay outside so an overloaded
+	// health, metrics and profiling probes stay outside so an overloaded
 	// server still answers its operators.
 	api := http.NewServeMux()
 	api.HandleFunc("POST /extract", s.handleExtract)
 	api.HandleFunc("POST /records", s.handleRecords)
-	api.HandleFunc("GET /rules", s.handleRules)
 
 	root := http.NewServeMux()
 	root.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -273,7 +258,6 @@ func New(cfg Config) *Server {
 	root.HandleFunc("GET /readyz", s.handleReadyz)
 	root.HandleFunc("GET /rulesz", s.handleRulesz)
 	root.HandleFunc("GET /tracez", s.handleTracez)
-	root.HandleFunc("GET /statsz", s.handleStatsz)
 	root.HandleFunc("GET /metricsz", s.handleMetricsz)
 	root.HandleFunc("/debug/pprof/", pprof.Index)
 	root.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -310,10 +294,9 @@ func (s *Server) registerMetrics() {
 		s.stats.Counter(name)
 	}
 	for _, name := range []string{
-		seriesReqExtract, seriesReqRecords, seriesReqRules,
-		seriesReqRulesz, seriesReqHealthz, seriesReqReadyz,
-		seriesReqStatsz, seriesReqMetricsz, seriesReqPprof,
-		seriesReqTracez, seriesReqOther,
+		seriesReqExtract, seriesReqRecords, seriesReqRulesz,
+		seriesReqHealthz, seriesReqReadyz, seriesReqMetricsz,
+		seriesReqPprof, seriesReqTracez, seriesReqOther,
 	} {
 		s.stats.Histogram(name)
 	}
@@ -344,26 +327,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.handler.ServeHTTP(w, r)
 }
 
-// loadRules seeds the farm from Config.RulesFile and flips the
-// readiness gate. Liveness (/healthz) and readiness are deliberately
-// split: a process that failed its snapshot load is alive (don't
-// restart it into a crash loop) but not ready (don't route to it).
-func (s *Server) loadRules() {
-	if s.cfg.RulesFile == "" {
-		s.ready.Store(true)
-		return
-	}
-	if err := s.farm.SeedFile(s.cfg.RulesFile); err != nil {
-		s.log.Error("rules snapshot load failed; staying not-ready",
-			"file", s.cfg.RulesFile, "err", err.Error())
-		return
-	}
-	s.log.Info("rules snapshot loaded", "file", s.cfg.RulesFile, "rules", s.farm.Len())
-	s.ready.Store(true)
-}
-
-// Farm exposes the server's wrapper farm (rule inspection, manual
-// saves, test-driven revalidation).
+// Farm exposes the server's wrapper farm (rule inspection, rule
+// replication, test-driven revalidation).
 func (s *Server) Farm() *farm.Farm { return s.farm }
 
 // Traces exposes the server's tail-sampling trace sink, so a cluster
@@ -381,28 +346,23 @@ func (s *Server) Run(ctx context.Context) error { return s.farm.Run(ctx) }
 func (s *Server) Close() error { return s.farm.Close() }
 
 // Ready reports whether the server would pass its own /readyz probe.
-func (s *Server) Ready() bool { return s.ready.Load() && s.joined.Load() }
+func (s *Server) Ready() bool { return s.joined.Load() }
 
 // MarkReady releases a Config.DeferReady hold: the join-time rule sync
 // finished (or gave up and degraded to learn-on-miss), so the health
 // checker may route shard traffic here. Idempotent.
 func (s *Server) MarkReady() { s.joined.Store(true) }
 
-// handleReadyz is the readiness probe: 200 once the rule store is
-// loaded and any join-time rule sync has finished, 503 before (or
-// forever, on a bad snapshot).
+// handleReadyz is the readiness probe: 200 once any join-time rule
+// sync has finished, 503 before.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	switch {
-	case !s.ready.Load():
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_, _ = io.WriteString(w, "not ready: rules not loaded\n")
-	case !s.joined.Load():
+	if !s.joined.Load() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		_, _ = io.WriteString(w, "not ready: rule sync in progress\n")
-	default:
-		w.WriteHeader(http.StatusOK)
-		_, _ = io.WriteString(w, "ready\n")
+		return
 	}
+	w.WriteHeader(http.StatusOK)
+	_, _ = io.WriteString(w, "ready\n")
 }
 
 // reqInfo is the per-request decision summary handlers fill in for the
@@ -495,16 +455,12 @@ func requestSeries(path string) string {
 		return seriesReqExtract
 	case path == "/records":
 		return seriesReqRecords
-	case path == "/rules":
-		return seriesReqRules
 	case path == "/rulesz":
 		return seriesReqRulesz
 	case path == "/healthz":
 		return seriesReqHealthz
 	case path == "/readyz":
 		return seriesReqReadyz
-	case path == "/statsz":
-		return seriesReqStatsz
 	case path == "/metricsz":
 		return seriesReqMetricsz
 	case path == "/tracez":
@@ -520,7 +476,7 @@ func requestSeries(path string) string {
 // than Info, so scrapers and probes don't flood the log.
 func operational(path string) bool {
 	return path == "/healthz" || path == "/readyz" || path == "/rulesz" ||
-		path == "/statsz" || path == "/metricsz" || path == "/tracez" ||
+		path == "/metricsz" || path == "/tracez" ||
 		strings.HasPrefix(path, "/debug/pprof")
 }
 
@@ -717,37 +673,6 @@ func (s *Server) withTimeout(next http.Handler) http.Handler {
 	return http.TimeoutHandler(next, s.cfg.RequestTimeout, string(body))
 }
 
-// statszResponse is the /statsz payload.
-type statszResponse struct {
-	// Counters are the cumulative counters of the shared obs registry —
-	// the same registry /metricsz exposes in Prometheus form.
-	Counters map[string]int64 `json:"counters"`
-	// InFlight is the number of extraction requests currently running.
-	InFlight int `json:"inFlight"`
-	// MaxInFlight is the shed threshold (0 = unlimited).
-	MaxInFlight int `json:"maxInFlight"`
-	// CachedRules and CachedWrappers size the per-site caches.
-	CachedRules    int `json:"cachedRules"`
-	CachedWrappers int `json:"cachedWrappers"`
-}
-
-// handleStatsz serves the legacy JSON counter view. It is a thin alias of
-// the /metricsz registry: both read the identical obs.Registry, so the two
-// endpoints can never disagree.
-func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	nrules := s.farm.Len()
-	s.mu.RLock()
-	nwrap := len(s.wrappers)
-	s.mu.RUnlock()
-	writeJSON(w, statszResponse{
-		Counters:       s.stats.Snapshot(),
-		InFlight:       s.limiter.InFlight(),
-		MaxInFlight:    s.limiter.Cap(),
-		CachedRules:    nrules,
-		CachedWrappers: nwrap,
-	})
-}
-
 // handleMetricsz serves the registry as Prometheus-style text: counters,
 // gauges, and the per-phase latency histograms with p50/p95/p99.
 func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
@@ -886,18 +811,6 @@ func (s *Server) serveRecords(ctx context.Context, w http.ResponseWriter, site, 
 	writeJSON(w, recordResponse{Site: site, Fields: wrapper.Fields, Records: records})
 }
 
-func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
-	// The legacy array format, so dumps keep working as -rules seeds.
-	st := rules.NewStore()
-	for _, sr := range s.farm.Rules() {
-		_ = st.Put(sr.Rule)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := st.WriteTo(w); err != nil {
-		httpError(r.Context(), w, err)
-	}
-}
-
 // ruleszRule is one row of the /rulesz farm inspection view.
 type ruleszRule struct {
 	Site        string    `json:"site"`
@@ -934,8 +847,10 @@ type ruleszDigest struct {
 // the human inspection listing; ?view=digest returns the version
 // vector (with ETag / If-None-Match negotiation, so a steady-state
 // anti-entropy poll costs one 304), and ?view=sync returns the farm's
-// canonical wire snapshot, optionally filtered to ?sites=a,b,c — the
+// canonical snapshot, optionally filtered to ?sites=a,b,c — the
 // incremental transfer a joining node pulls from its ring neighbors.
+// Unfiltered, ?view=sync is the rule dump: its bytes are a -rule-store
+// file.
 func (s *Server) handleRulesz(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Query().Get("view") {
 	case "digest":

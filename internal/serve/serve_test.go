@@ -177,21 +177,6 @@ func TestExtractUnprocessablePage(t *testing.T) {
 	}
 }
 
-func TestRulesEndpoint(t *testing.T) {
-	ts := newTestServer(t)
-	page := sitegen.LOC()
-	post(t, ts.URL+"/extract?site="+page.Site, page.HTML)
-	resp, err := http.Get(ts.URL + "/rules")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body := readAll(t, resp)
-	if !strings.Contains(body, page.Site) {
-		t.Errorf("rules dump missing site: %s", body)
-	}
-}
-
 func TestExtractReportsNextPage(t *testing.T) {
 	ts := newTestServer(t)
 	spec := sitegen.SiteSpec{
@@ -374,41 +359,9 @@ func TestHealthzBypassesLoadShedding(t *testing.T) {
 		t.Errorf("healthz under load = %d, want 200", rec.Code)
 	}
 	rec = httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statsz", nil))
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metricsz", nil))
 	if rec.Code != http.StatusOK {
-		t.Errorf("statsz under load = %d, want 200", rec.Code)
-	}
-}
-
-func TestStatszEndpoint(t *testing.T) {
-	stats := resilience.NewStats()
-	ts := httptest.NewServer(New(Config{Stats: stats}))
-	defer ts.Close()
-
-	// Generate one shed-free extraction and one 413 so counters move.
-	page := sitegen.Canoe()
-	post(t, ts.URL+"/extract?site="+page.Site, page.HTML)
-
-	resp, err := http.Get(ts.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	var out statszResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("statsz not JSON: %v", err)
-	}
-	if out.MaxInFlight != defaultMaxInFlight {
-		t.Errorf("maxInFlight = %d, want %d", out.MaxInFlight, defaultMaxInFlight)
-	}
-	if out.CachedRules != 1 {
-		t.Errorf("cachedRules = %d, want 1", out.CachedRules)
-	}
-	if out.Counters == nil {
-		t.Error("counters missing")
+		t.Errorf("metricsz under load = %d, want 200", rec.Code)
 	}
 }
 

@@ -22,15 +22,13 @@ type Object = extract.Object
 // separator tag) that can be cached and replayed.
 type Rule = rules.Rule
 
-// RuleStore is a concurrency-safe collection of rules with JSON
-// persistence.
+// RuleStore is a concurrency-safe, in-memory collection of rules. It is
+// not persisted; the omini -rules flag and ominiserve -rule-store keep
+// rules on disk in the wrapper farm's snapshot format.
 type RuleStore = rules.Store
 
 // NewRuleStore returns an empty rule store.
 func NewRuleStore() *RuleStore { return rules.NewStore() }
-
-// LoadRules reads a rule store previously written with (*RuleStore).Save.
-func LoadRules(path string) (*RuleStore, error) { return rules.Load(path) }
 
 // Result is the full outcome of one extraction: the objects, the discovered
 // subtree path and separator tag, the combined candidate ranking, and

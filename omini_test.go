@@ -2,7 +2,6 @@ package omini
 
 import (
 	"errors"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -34,15 +33,7 @@ func TestExtractorLearnAndReplay(t *testing.T) {
 	if err := store.Put(rule); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "rules.json")
-	if err := store.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadRules(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := loaded.Get(page.Site)
+	cached, err := store.Get(page.Site)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -258,6 +258,13 @@ if [ "$FARM_SMOKE" != "0" ]; then
         echo "-rule-store file missing or not a v2 snapshot after shutdown" >&2
         exit 1
     }
+    # Shutdown waits for the final save: no temp file of an interrupted
+    # write may be left beside the store.
+    if ls -A "$tmpdir" | grep -q '^\.rulestore-'; then
+        echo "interrupted rule-store save left a temp file after shutdown:" >&2
+        ls -A "$tmpdir" >&2
+        exit 1
+    fi
     trap - EXIT
     rm -rf "$tmpdir"
 fi
